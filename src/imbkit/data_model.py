@@ -150,18 +150,22 @@ def imbalance_ratio(ds: Dataset) -> float:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Per-(repeat, fold) train/test index lists for repeated stratified CV."""
+    """Repeated stratified CV as one test-fold id per sample and repeat.
+
+    Fold ``f`` of a repeat tests the samples whose id is ``f`` and trains on
+    the rest; both index lists come back sorted.
+    """
 
     k: int
     repeats: int
-    assignments: tuple  # assignments[repeat][fold] -> (train_idx, test_idx)
+    fold_ids: np.ndarray  # (repeats, samples) int32, read-only
     master_seed: int
 
     def test_indices(self, repeat: int, fold: int) -> np.ndarray:
-        return self.assignments[repeat][fold][1]
+        return np.flatnonzero(self.fold_ids[repeat] == fold)
 
     def train_indices(self, repeat: int, fold: int) -> np.ndarray:
-        return self.assignments[repeat][fold][0]
+        return np.flatnonzero(self.fold_ids[repeat] != fold)
 
 
 def rng_for(*path) -> np.random.Generator:
@@ -200,26 +204,15 @@ def stratified_folds(ds: Dataset, k: int, repeats: int, seed: int) -> FoldPlan:
             "it is kept entirely in training for folds it cannot fill",
             PipelineWarning, stacklevel=2)
 
-    m = ds.n_samples
-    all_assignments = []
+    fold_ids = np.empty((repeats, ds.n_samples), dtype=np.int32)
     for r in range(repeats):
         rng = rng_for(seed, "folds", r)
-        fold_test: list[list[int]] = [[] for _ in range(k)]
         for c in range(ds.n_classes):
             idx = np.flatnonzero(ds.labels == c)
             rng.shuffle(idx)
             offset = int(rng.integers(k))  # rotate so early folds are not systematically larger
-            for i, s in enumerate(idx):
-                fold_test[(i + offset) % k].append(int(s))
-        per_repeat = []
-        for f in range(k):
-            test = np.array(sorted(fold_test[f]), dtype=np.int64)
-            mask = np.ones(m, dtype=bool)
-            mask[test] = False
-            train = np.flatnonzero(mask).astype(np.int64)
-            per_repeat.append((_freeze(train), _freeze(test)))
-        all_assignments.append(tuple(per_repeat))
-    return FoldPlan(k=k, repeats=repeats, assignments=tuple(all_assignments), master_seed=int(seed))
+            fold_ids[r, idx] = (np.arange(idx.size) + offset) % k
+    return FoldPlan(k=k, repeats=repeats, fold_ids=_freeze(fold_ids), master_seed=int(seed))
 
 
 def minmax_fit(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,9 +35,16 @@ class FoldResult:
     mask: list | None = None
     or_before: float | None = None
     or_after: float | None = None
-    train_indices: np.ndarray | None = None   # in-memory only, never serialized
-    test_indices: np.ndarray | None = None
     timings: dict = field(default_factory=dict)
+    plan: FoldPlan | None = field(default=None, repr=False, compare=False)  # in-memory only
+
+    @property
+    def train_indices(self) -> np.ndarray | None:
+        return None if self.plan is None else self.plan.train_indices(self.repeat, self.fold)
+
+    @property
+    def test_indices(self) -> np.ndarray | None:
+        return None if self.plan is None else self.plan.test_indices(self.repeat, self.fold)
 
 
 @dataclass
@@ -80,8 +87,7 @@ def _split_for_fitness(labels: np.ndarray, rng: np.random.Generator):
 def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
               config: RunConfig, repeat: int, fold: int) -> FoldResult:
     seed = config.seed
-    result = FoldResult(repeat=repeat, fold=fold, status="ok",
-                        train_indices=train_idx, test_indices=test_idx)
+    result = FoldResult(repeat=repeat, fold=fold, status="ok")
     clock = time.perf_counter
 
     t0 = clock()
@@ -207,12 +213,12 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None,
                 train_idx = fold_plan.train_indices(r, f)
                 test_idx = fold_plan.test_indices(r, f)
                 try:
-                    fold_results.append(_run_fold(dataset, train_idx, test_idx, config, r, f))
+                    result = _run_fold(dataset, train_idx, test_idx, config, r, f)
                 except Exception as exc:
-                    fold_results.append(FoldResult(
-                        repeat=r, fold=f, status="aborted",
-                        reason=f"{type(exc).__name__}: {exc}",
-                        train_indices=train_idx, test_indices=test_idx))
+                    result = FoldResult(repeat=r, fold=f, status="aborted",
+                                        reason=f"{type(exc).__name__}: {exc}")
+                result.plan = fold_plan
+                fold_results.append(result)
         caught = [f"{w.category.__name__}: {w.message}" for w in wrec]
 
     ok = [fr for fr in fold_results if fr.status == "ok"]

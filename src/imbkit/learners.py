@@ -32,11 +32,7 @@ class KNNClassifier:
         sq = pairwise_sq(np.asarray(features, dtype=np.float64), self._x)
         k = min(self.k, self._x.shape[0])
         nb = np.argsort(sq, axis=1, kind="stable")[:, :k]  # distance ties fall to lower index
-        votes = self._y[nb]
-        out = np.empty(votes.shape[0], dtype=np.int64)
-        for i in range(votes.shape[0]):
-            out[i] = np.argmax(np.bincount(votes[i], minlength=self.n_classes))
-        return out
+        return _count_votes(self._y[nb].T, self.n_classes).argmax(axis=0)
 
 
 class GaussianNBClassifier:
@@ -225,6 +221,18 @@ def member_predictions(pool: ClassifierPool, features) -> np.ndarray:
     return np.vstack([clf.predict(x) for clf in pool.classifiers])
 
 
+def _count_votes(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """(n_classes, columns) count of each label down each column of a (voters, columns) array.
+
+    ``argmax(axis=0)`` of the counts is the column's majority label, ties going
+    to the smallest label.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    cols = labels.shape[1]
+    flat = np.bincount((labels * cols + np.arange(cols)).ravel(), minlength=n_classes * cols)
+    return flat.reshape(n_classes, cols)
+
+
 def vote_from_predictions(preds: np.ndarray, mask, n_classes: int) -> np.ndarray:
     """Hard majority vote over the mask-selected rows; ties go to the smallest label."""
     mask = np.asarray(mask, dtype=bool)
@@ -232,21 +240,14 @@ def vote_from_predictions(preds: np.ndarray, mask, n_classes: int) -> np.ndarray
         raise ValueError("mask length must equal pool size")
     if not mask.any():
         raise ValueError("mask selects no classifiers")
-    sel = preds[mask]
-    counts = np.zeros((n_classes, sel.shape[1]), dtype=np.int64)
-    for row in sel:
-        np.add.at(counts, (row, np.arange(row.size)), 1)
-    return counts.argmax(axis=0)
+    return _count_votes(preds[mask], n_classes).argmax(axis=0)
 
 
 def vote_shares(preds: np.ndarray, mask, n_classes: int) -> np.ndarray:
     """(m, n) fraction of selected classifiers voting each class; posterior-like scores."""
     mask = np.asarray(mask, dtype=bool)
     sel = preds[mask]
-    counts = np.zeros((n_classes, sel.shape[1]), dtype=np.float64)
-    for row in sel:
-        np.add.at(counts, (row, np.arange(row.size)), 1.0)
-    return (counts / sel.shape[0]).T
+    return (_count_votes(sel, n_classes) / sel.shape[0]).T
 
 
 def majority_vote(pool: ClassifierPool, mask, x) -> int:

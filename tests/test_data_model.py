@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbkit.data_model import (DataFormatError, Dataset, PipelineWarning, imbalance_ratio,
-                               load_csv, minmax_apply, minmax_fit, stratified_folds)
+                               load_csv, minmax_apply, minmax_fit, rng_for, stratified_folds)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -163,6 +163,30 @@ class TestStratifiedFolds:
                 train = plan.train_indices(r, f)
                 test = plan.test_indices(r, f)
                 assert not set(train.tolist()) & set(test.tolist())
+
+
+    def test_indices_match_explicit_fold_lists(self):
+        """Sorted test folds built sample by sample, train folds as their complement."""
+        labels = np.concatenate([np.zeros(31, int), np.ones(12, int), np.full(3, 2)])
+        ds = Dataset(np.zeros((labels.size, 1)), labels, ("a", "b", "c"))
+        k, repeats, seed = 5, 3, 21
+        with pytest.warns(PipelineWarning):
+            plan = stratified_folds(ds, k, repeats, seed)
+        for r in range(repeats):
+            rng = rng_for(seed, "folds", r)
+            fold_test = [[] for _ in range(k)]
+            for c in range(ds.n_classes):
+                idx = np.flatnonzero(labels == c)
+                rng.shuffle(idx)
+                offset = int(rng.integers(k))
+                for i, s in enumerate(idx):
+                    fold_test[(i + offset) % k].append(int(s))
+            for f in range(k):
+                test = np.array(sorted(fold_test[f]), dtype=np.int64)
+                train = np.setdiff1d(np.arange(labels.size), test)
+                assert np.array_equal(plan.test_indices(r, f), test)
+                assert np.array_equal(plan.train_indices(r, f), train)
+        assert plan.fold_ids.dtype == np.int32 and not plan.fold_ids.flags.writeable
 
 
 class TestMinMax:

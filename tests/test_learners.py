@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbkit.learners import (DEFAULT_POOL_SPEC, ExtraTreeClassifier, GaussianNBClassifier,
-                             GiniTreeClassifier, KNNClassifier, majority_vote,
+                             GiniTreeClassifier, KNNClassifier, _count_votes, majority_vote,
                              member_predictions, train_pool, vote_from_predictions,
                              vote_shares)
 from tests.conftest import make_blobs
@@ -157,3 +159,52 @@ class TestMajorityVote:
         assert shares.shape == (4, 2)
         assert np.allclose(shares.sum(axis=1), 1.0)
         assert np.allclose(shares[:, 1], 2 / 3)
+
+
+def add_at_counts(labels, n_classes):
+    """Row-by-row np.add.at vote counts: the reference for the bincount counter."""
+    counts = np.zeros((n_classes, labels.shape[1]), dtype=np.int64)
+    for row in labels:
+        np.add.at(counts, (row, np.arange(row.size)), 1)
+    return counts
+
+
+@st.composite
+def vote_matrices(draw):
+    n_classes = draw(st.integers(1, 5))
+    voters = draw(st.integers(1, 7))
+    cols = draw(st.integers(0, 12))
+    flat = draw(st.lists(st.integers(0, n_classes - 1), min_size=voters * cols,
+                         max_size=voters * cols))
+    return np.array(flat, dtype=np.int64).reshape(voters, cols), n_classes
+
+
+class TestVoteCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(case=vote_matrices())
+    def test_matches_add_at_reference(self, case):
+        labels, n_classes = case
+        ref = add_at_counts(labels, n_classes)
+        assert np.array_equal(_count_votes(labels, n_classes), ref)
+        mask = np.ones(labels.shape[0], dtype=bool)
+        winners = vote_from_predictions(labels, mask, n_classes)
+        for j in range(labels.shape[1]):  # ties go to the smallest label
+            assert winners[j] == min(c for c in range(n_classes) if ref[c, j] == ref[:, j].max())
+        assert np.array_equal(vote_shares(labels, mask, n_classes),
+                              (ref.astype(np.float64) / labels.shape[0]).T)
+
+    def test_ties_go_to_smallest_label(self):
+        labels = np.array([[2, 1, 0], [1, 2, 2], [0, 0, 1], [2, 1, 1]])
+        assert _count_votes(labels, 3).tolist() == [[1, 1, 1], [1, 2, 2], [2, 1, 1]]
+        assert vote_from_predictions(labels, [1, 1, 1, 1], 3).tolist() == [2, 1, 1]
+        assert vote_from_predictions(labels, [1, 1, 0, 0], 3).tolist() == [1, 1, 0]
+
+    def test_knn_predict_matches_per_row_bincount(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(40, 3)), rng.integers(0, 3, 40)
+        q = rng.normal(size=(25, 3))
+        clf = KNNClassifier(k=4).fit(x, y, 3)
+        nb = np.argsort(((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), axis=1,
+                        kind="stable")[:, :4]
+        ref = [int(np.argmax(np.bincount(y[row], minlength=3))) for row in nb]
+        assert clf.predict(q).tolist() == ref

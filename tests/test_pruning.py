@@ -1,11 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from imbkit.learners import ClassifierPool, member_predictions
+from imbkit import pruning
+from imbkit.learners import ClassifierPool, member_predictions, vote_from_predictions
 from imbkit.metrics import classification_metrics
-from imbkit.pruning import Genome, digitize, evaluate_mask, jaya_update, prune
+from imbkit.pruning import digitize, evaluate_mask, jaya_update, prune
 
 
 class FixedPredictor:
@@ -29,6 +31,21 @@ class OraclePredictor:
         return np.array([self._map[tuple(row)] for row in np.atleast_2d(x)], dtype=np.int64)
 
 
+class NoisyPredictor:
+    """Replays the fitness labels with a fixed share of them replaced by other labels."""
+
+    def __init__(self, features, labels, n_classes, flip, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.asarray(labels, dtype=np.int64)
+        flipped = rng.random(labels.size) < flip
+        noisy = np.where(flipped, (labels + rng.integers(1, n_classes, labels.size)) % n_classes,
+                         labels)
+        self._map = dict(zip((tuple(row) for row in np.atleast_2d(features)), noisy))
+
+    def predict(self, x):
+        return np.array([self._map[tuple(row)] for row in np.atleast_2d(x)], dtype=np.int64)
+
+
 def build_pool(members, n_classes, n_features=1):
     return ClassifierPool(classifiers=tuple(members), kinds=tuple("stub" for _ in members),
                           n_classes=n_classes, n_features=n_features)
@@ -44,6 +61,56 @@ def exhaustive_optimum(pool, x, y):
     return best
 
 
+def reference_prune(pool, x, y, n_pop, t_max, rng):
+    """The genome-by-genome Jaya search, scoring every candidate afresh.
+
+    Each genome draws r1 then r2 for its own slots; acceptance is greedy per
+    genome against best and worst fixed at the start of the generation.
+    """
+    def to_mask(v):
+        mask = (v > 0.5).astype(np.int64)
+        if mask.sum() == 0:
+            mask[int(np.argmax(v))] = 1
+        return mask
+
+    def score(mask):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            voted = vote_from_predictions(preds, mask.astype(bool), pool.n_classes)
+            return classification_metrics(voted, y, pool.n_classes).macro_f1
+
+    m = pool.size
+    preds = member_predictions(pool, x)
+    values = [rng.random(m) for _ in range(n_pop)]
+    fits = [score(to_mask(v)) for v in values]
+    history = []
+    for _ in range(t_max):
+        best = values[int(np.argmax(fits))].copy()
+        worst = values[int(np.argmin(fits))].copy()
+        for i in range(n_pop):
+            r1 = rng.random(m)
+            r2 = rng.random(m)
+            cand = np.clip(values[i] + r1 * np.abs(best - values[i])
+                           - r2 * np.abs(worst - values[i]), 0.0, 1.0)
+            cand_fit = score(to_mask(cand))
+            if cand_fit > fits[i]:
+                values[i], fits[i] = cand, cand_fit
+        history.append(max(fits))
+    winner = max(range(n_pop), key=lambda i: fits[i])
+    mask = to_mask(values[winner])
+    return mask, score(mask), tuple(history)
+
+
+def random_pool(size, seed, n_classes=3, m=30):
+    """Pool of ``size`` noisy label replays of varied quality, plus the fitness data."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, 2))
+    y = rng.integers(0, n_classes, m)
+    members = [NoisyPredictor(x, y, n_classes, flip=rng.uniform(0.1, 0.9), seed=seed * 10 + i)
+               for i in range(size)]
+    return build_pool(members, n_classes, n_features=2), x, y
+
+
 class TestDigitize:
     def test_strict_threshold(self):
         assert digitize(np.array([0.7, 0.5, 0.2])).tolist() == [1, 0, 0]
@@ -53,6 +120,11 @@ class TestDigitize:
 
     def test_empty_mask_repaired_to_largest(self):
         assert digitize(np.array([0.4, 0.45, 0.1])).tolist() == [0, 1, 0]
+
+    def test_rows_digitized_independently(self):
+        rows = np.array([[0.7, 0.5, 0.2], [0.4, 0.45, 0.1], [0.2, 0.3, 0.3]])
+        assert digitize(rows).tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 0]]
+        assert digitize(rows).tolist() == [digitize(row).tolist() for row in rows]
 
 
 class TestJayaUpdate:
@@ -77,6 +149,14 @@ class TestJayaUpdate:
 
         out = jaya_update(np.array([0.9]), np.array([0.0]), np.array([0.9]), BigRng())
         assert 0.0 <= out[0] <= 1.0
+
+    def test_population_update_matches_genome_by_genome(self):
+        pop, best, worst = np.random.default_rng(5).random((3, 7, 4))
+        best, worst = best[0], worst[0]
+        whole = jaya_update(pop, best, worst, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        rows = [jaya_update(row, best, worst, rng) for row in pop]
+        assert np.array_equal(whole, np.vstack(rows))
 
     def test_stays_in_unit_box(self):
         rng = np.random.default_rng(0)
@@ -163,3 +243,40 @@ class TestPrune:
             prune(pool, x, y, n_pop=4, t_max=0)
         with pytest.raises(ValueError):
             prune(pool, np.empty((0, 1)), np.empty(0, dtype=int), n_pop=4, t_max=2)
+
+
+class TestSearchUnchanged:
+    """The array-based, memoized search against the genome-by-genome reference."""
+
+    CASES = [(seed, size, n_pop, t_max)
+             for seed, (size, n_pop, t_max) in enumerate(itertools.product(
+                 range(1, 8), (2, 5, 20), (1, 7, 30)))][::2]
+
+    def test_enough_cases(self):
+        assert len(self.CASES) >= 30
+        assert {size for _, size, _, _ in self.CASES} == set(range(1, 8))
+
+    @pytest.mark.parametrize("seed,size,n_pop,t_max", CASES)
+    def test_matches_reference(self, seed, size, n_pop, t_max):
+        pool, x, y = random_pool(size, seed)
+        mask, fitness, history = reference_prune(pool, x, y, n_pop, t_max,
+                                                 np.random.default_rng(seed))
+        result = prune(pool, x, y, n_pop=n_pop, t_max=t_max, rng=np.random.default_rng(seed))
+        assert result.mask.tolist() == mask.tolist()
+        assert result.fitness == fitness
+        assert result.history == history
+        assert result.generations == t_max
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 7])
+    def test_each_mask_scored_at_most_once(self, monkeypatch, size):
+        calls = []
+        scored = pruning._mask_fitness
+
+        def counting(preds, mask, truth, n_classes):
+            calls.append(mask.tobytes())
+            return scored(preds, mask, truth, n_classes)
+
+        monkeypatch.setattr(pruning, "_mask_fitness", counting)
+        pool, x, y = random_pool(size, seed=size)
+        prune(pool, x, y, n_pop=20, t_max=50, rng=np.random.default_rng(0))
+        assert len(calls) == len(set(calls)) <= 2 ** size - 1
