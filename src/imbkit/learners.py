@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import pairwise_sq
+from .distances import nearest, pairwise_sq
 from .posterior import fit_nb_arrays, log_joint
 
 
@@ -30,8 +30,7 @@ class KNNClassifier:
 
     def predict(self, features):
         sq = pairwise_sq(np.asarray(features, dtype=np.float64), self._x)
-        k = min(self.k, self._x.shape[0])
-        nb = np.argsort(sq, axis=1, kind="stable")[:, :k]  # distance ties fall to lower index
+        nb = nearest(sq, self.k)  # distance ties fall to lower index
         return _count_votes(self._y[nb].T, self.n_classes).argmax(axis=0)
 
 

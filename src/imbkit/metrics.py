@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, PipelineWarning
-from .distances import pairwise_sq
+from .distances import nearest, pairwise_sq
 
 
 def confusion_matrix(preds: np.ndarray, truth: np.ndarray, n_classes: int) -> np.ndarray:
@@ -134,22 +134,20 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
     n = ds.n_classes
     sq = pairwise_sq(ds.features, ds.features)
     np.fill_diagonal(sq, np.inf)
-    # argsort on (distance, index): stable sort on distance gives index tie-break
-    nb = np.argsort(sq, axis=1, kind="stable")[:, :knn_k]
-    nb_labels = ds.labels[nb]
+    nb_labels = ds.labels[nearest(sq, knn_k)]
     foreign = nb_labels != ds.labels[:, None]
-    flagged = foreign.sum(axis=1) >= int(np.ceil(knn_k / 2))
+    flagged = np.flatnonzero(foreign.sum(axis=1) >= int(np.ceil(knn_k / 2)))
 
+    # per flagged sample, its most frequent foreign neighbour label (ties to the smallest)
+    row, col = np.nonzero(foreign[flagged])
+    votes = np.bincount(row * n + nb_labels[flagged][row, col], minlength=flagged.size * n)
+    into = votes.reshape(flagged.size, n).argmax(axis=1)
+    # [i, j]: class-i samples overlapping into j
+    n_ov = np.bincount(ds.labels[flagged] * n + into, minlength=n * n).reshape(n, n)
     counts = ds.class_counts()
-    n_ov = np.zeros((n, n), dtype=np.int64)  # [i, j]: class-i samples overlapping into j
-    for i in np.flatnonzero(flagged):
-        labs = nb_labels[i][foreign[i]]
-        n_ov[ds.labels[i], np.argmax(np.bincount(labs, minlength=n))] += 1
     or_class = n_ov.sum(axis=1) / counts
-    or_pair = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                or_pair[i, j] = 0.5 * (n_ov[i, j] / counts[i] + n_ov[j, i] / counts[j])
+    rate = n_ov / counts[:, None]
+    or_pair = 0.5 * (rate + rate.T)
+    np.fill_diagonal(or_pair, 0.0)
     return OverlapReport(or_class=or_class, or_pair=or_pair,
                          or_dataset=float(or_class.mean()), knn_k=knn_k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, PipelineWarning
-from .distances import min_dist, pairwise_sq
+from .distances import min_dist, nearest, pairwise_sq
 from .region import CORE, NOISY, RegionAssignment, noise_subset
 
 MIN_ATTEMPT_CAP = 500
@@ -73,8 +73,7 @@ def _neighbor_table(class_data: np.ndarray, knn_k: int) -> np.ndarray:
     """Per sample: its min(knn_k, n-1) nearest same-class neighbors, ties by index."""
     sq = pairwise_sq(class_data, class_data)
     np.fill_diagonal(sq, np.inf)
-    take = min(knn_k, class_data.shape[0] - 1)
-    return np.argsort(sq, axis=1, kind="stable")[:, :take]
+    return nearest(sq, min(knn_k, class_data.shape[0] - 1))
 
 
 def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5,

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from imbkit.data_model import Dataset
+
+# CI runs ``pytest --hypothesis-profile=ci``: the same examples on every run,
+# so a property test cannot pass on one push and fail on the next
+settings.register_profile("ci", derandomize=True)
 
 DATA_DIR_NAME = "data"
 
