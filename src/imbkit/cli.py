@@ -15,49 +15,43 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
-from . import harness, metrics, overlap, posterior, region, resample
+from . import harness, metrics, overlap, region
 from .config import RunConfig, load_config_file, merge_config
 from .data_model import Dataset, load_csv, minmax_apply, minmax_fit, rng_for
 
 
+# Every RunConfig field but ``pool`` (config file only) is a flag named after
+# the field, except for the spellings below.
+_FLAG_NAMES = {"data_path": "--data", "label_column": "--label-col",
+               "use_balancing": "--no-balancing", "use_pruning": "--no-pruning"}
+_FLAG_HELP = {"data_path": "dataset CSV path",
+              "label_column": "label column name or zero-based index",
+              "scale": "min-max scale features (fit on training data only)"}
+_FLAG_CHOICES = {"threshold_mode": region.THRESHOLD_MODES, "sor_keep": overlap.KEEP_MODES}
+_FLAG_FIELDS = tuple(f for f in fields(RunConfig) if f.name != "pool")
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--data", dest="data_path", help="dataset CSV path")
-    p.add_argument("--label-col", dest="label_column", help="label column name or zero-based index")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--scale", action="store_const", const=True, default=None,
-                   help="min-max scale features (fit on training data only)")
-    p.add_argument("--threshold-mode", dest="threshold_mode", choices=["midpoint", "mean"])
-    p.add_argument("--z-threshold", dest="z_threshold", type=float)
-    p.add_argument("--sor-fallback-fraction", dest="sor_fallback_fraction", type=float)
-    p.add_argument("--sor-keep", dest="sor_keep", choices=["after", "before"])
-    p.add_argument("--omrp-k", dest="omrp_k", type=int)
-    p.add_argument("--omrp-max-attempts-factor", dest="omrp_max_attempts_factor", type=int)
-    p.add_argument("--jaya-pop", dest="jaya_pop", type=int)
-    p.add_argument("--jaya-iters", dest="jaya_iters", type=int)
-    p.add_argument("--noise-remove-fraction", dest="noise_remove_fraction", type=float)
-    p.add_argument("--no-balancing", dest="use_balancing", action="store_const", const=False, default=None)
-    p.add_argument("--no-pruning", dest="use_pruning", action="store_const", const=False, default=None)
-
-
-CONFIG_KEYS = ("data_path", "label_column", "seed", "folds", "repeats", "scale",
-               "threshold_mode", "z_threshold", "sor_fallback_fraction", "sor_keep",
-               "omrp_k", "omrp_max_attempts_factor", "jaya_pop", "jaya_iters",
-               "noise_remove_fraction", "use_balancing", "use_pruning")
+    for f in _FLAG_FIELDS:
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        if isinstance(f.default, bool):  # a flag switches the default off or on
+            p.add_argument(flag, dest=f.name, action="store_const", const=not f.default,
+                           default=None, help=_FLAG_HELP.get(f.name))
+        else:
+            p.add_argument(flag, dest=f.name, choices=_FLAG_CHOICES.get(f.name),
+                           type=str if f.default is None else type(f.default),
+                           help=_FLAG_HELP.get(f.name))
 
 
 def _build_config(args) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    overrides = {k: getattr(args, k, None) for k in CONFIG_KEYS}
-    cfg = merge_config(cfg, overrides)
+    cfg = merge_config(cfg, {f.name: getattr(args, f.name) for f in _FLAG_FIELDS})
     if cfg.data_path is None:
-        raise SystemExit("error: --data (or a config file with data_path) is required")
+        raise ValueError("--data (or a config file with data_path) is required")
     return cfg
 
 
@@ -69,13 +63,6 @@ def _load(cfg: RunConfig) -> Dataset:
     return ds
 
 
-def _fit_partition(ds: Dataset, cfg: RunConfig):
-    model = posterior.fit_nb(ds)
-    post = posterior.posteriors(model, ds)
-    thresholds = region.class_thresholds(post, ds.labels, mode=cfg.threshold_mode)
-    return region.partition(post, thresholds, ds.labels)
-
-
 def _open_out(path):
     return open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
 
@@ -83,7 +70,7 @@ def _open_out(path):
 def cmd_partition(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
-    assignment = _fit_partition(ds, cfg)
+    assignment = harness.partition_regions(ds, cfg)
     f = _open_out(args.out)
     try:
         w = csv.writer(f)
@@ -103,12 +90,7 @@ def cmd_partition(args) -> int:
 def cmd_clean(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
-    assignment = _fit_partition(ds, cfg)
-    nonov = overlap.sor_all(ds, assignment, z_threshold=cfg.z_threshold,
-                            fallback_fraction=cfg.sor_fallback_fraction, keep_mode=cfg.sor_keep)
-    base = resample.base_sample_sets(ds, assignment, nonov,
-                                     noise_remove_fraction=cfg.noise_remove_fraction)
-    kept = np.sort(np.concatenate([base[c] for c in range(ds.n_classes)]))
+    kept = harness.kept_indices(harness.clean(ds, harness.partition_regions(ds, cfg), cfg))
     before = metrics.overlap_ratios(ds, knn_k=cfg.or_knn_k).or_dataset
     cleaned = ds.subset(kept)
     after = metrics.overlap_ratios(cleaned, knn_k=cfg.or_knn_k).or_dataset
@@ -127,14 +109,8 @@ def cmd_clean(args) -> int:
 def cmd_balance(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
-    assignment = _fit_partition(ds, cfg)
-    nonov = overlap.sor_all(ds, assignment, z_threshold=cfg.z_threshold,
-                            fallback_fraction=cfg.sor_fallback_fraction, keep_mode=cfg.sor_keep)
-    base = resample.base_sample_sets(ds, assignment, nonov,
-                                     noise_remove_fraction=cfg.noise_remove_fraction)
-    result = resample.build_balanced(ds, base, knn_k=cfg.omrp_k,
-                                     max_attempts_factor=cfg.omrp_max_attempts_factor,
-                                     rng_factory=lambda c: rng_for(cfg.seed, "omrp", c))
+    base = harness.clean(ds, harness.partition_regions(ds, cfg), cfg)
+    result = harness.balance(ds, base, cfg, lambda c: rng_for(cfg.seed, "omrp", c))
     out = result.dataset
     f = _open_out(args.out)
     try:
@@ -168,34 +144,33 @@ def _print_aggregate(report, prefix="") -> None:
         print(f"{prefix}partial report: {aborted} aborted fold(s)", file=sys.stderr)
 
 
+def _emit_sweep(args, outputs) -> int:
+    """Write each (file stem, heading, report) of a sweep and print its heading and aggregate."""
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    partial = False
+    for stem, heading, rep in outputs:
+        harness.emit_report(rep, outdir / f"{stem}.{args.format}", fmt=args.format)
+        print(heading)
+        _print_aggregate(rep, prefix="   ")
+        partial |= rep.partial
+    return 1 if partial else 0
+
+
 def cmd_ablate_noise(args) -> int:
     cfg = _build_config(args)
     fractions = tuple(float(x) for x in args.fractions.split(","))
     reports = harness.ablate_noise(cfg, fractions)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    partial = False
-    for frac, rep in reports.items():
-        harness.emit_report(rep, outdir / f"noise_{frac:g}.{args.format}", fmt=args.format)
-        print(f"-- noise fraction {frac:g}")
-        _print_aggregate(rep, prefix="   ")
-        partial |= rep.partial
-    return 1 if partial else 0
+    return _emit_sweep(args, [(f"noise_{frac:g}", f"-- noise fraction {frac:g}", rep)
+                              for frac, rep in reports.items()])
 
 
 def cmd_ablate_components(args) -> int:
     cfg = _build_config(args)
     reports = harness.ablate_components(cfg)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    partial = False
-    for name, rep in reports.items():
-        harness.emit_report(rep, outdir / f"{name}.{args.format}", fmt=args.format)
-        print(f"-- variant {name} (balancing={rep.config.use_balancing}, "
-              f"pruning={rep.config.use_pruning})")
-        _print_aggregate(rep, prefix="   ")
-        partial |= rep.partial
-    return 1 if partial else 0
+    return _emit_sweep(args, [(name, f"-- variant {name} (balancing={rep.config.use_balancing}, "
+                                     f"pruning={rep.config.use_pruning})", rep)
+                              for name, rep in reports.items()])
 
 
 def cmd_report(args) -> int:
@@ -259,8 +234,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,7 +73,4 @@ def load_config_file(path) -> RunConfig:
 
 def merge_config(base: RunConfig, overrides: dict) -> RunConfig:
     """Apply explicitly-set values (not None) on top of ``base``."""
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    if "pool" in clean:
-        clean["pool"] = _normalize_pool(clean["pool"])
-    return base.with_overrides(**clean)
+    return base.with_overrides(**{k: v for k, v in overrides.items() if v is not None})

@@ -1,10 +1,11 @@
-"""End-to-end cross-validation harness, ablations and report emission.
+"""Data-level stage chain, cross-validation harness, ablations and report emission.
 
 Every fold fits the probabilistic model, partitions and cleans the training
 data, balances it, trains and prunes the pool, then scores the untouched test
 fold.  Nothing computed from a test fold ever feeds a training-side stage.
-Folds that fail a stage are recorded as aborted and the report marked partial
-instead of killing the whole run.
+A fold whose data is degenerate for a stage (the stage raises ``ValueError``)
+is recorded as aborted and the report marked partial instead of killing the
+whole run; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -84,6 +85,36 @@ def _split_for_fitness(labels: np.ndarray, rng: np.random.Generator):
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(fit_parts))
 
 
+def partition_regions(ds: Dataset, config: RunConfig) -> region.RegionAssignment:
+    """Tag every sample of ``ds`` core, overlapping or noisy from its naive-Bayes posteriors."""
+    post = posterior.posteriors(posterior.fit_nb(ds), ds)
+    thresholds = region.class_thresholds(post, ds.labels, mode=config.threshold_mode)
+    return region.partition(post, thresholds, ds.labels)
+
+
+def clean(ds: Dataset, assignment: region.RegionAssignment,
+          config: RunConfig) -> dict[int, np.ndarray]:
+    """Per-class base sample sets: core, the selected non-overlapping and the surviving noisy."""
+    nonoverlap = overlap.sor_all(ds, assignment, z_threshold=config.z_threshold,
+                                 fallback_fraction=config.sor_fallback_fraction,
+                                 keep_mode=config.sor_keep)
+    return resample.base_sample_sets(ds, assignment, nonoverlap,
+                                     noise_remove_fraction=config.noise_remove_fraction)
+
+
+def kept_indices(base_sets: dict[int, np.ndarray]) -> np.ndarray:
+    """Sorted indices of every sample the cleaning kept."""
+    return np.sort(np.concatenate(list(base_sets.values())))
+
+
+def balance(ds: Dataset, base_sets: dict[int, np.ndarray], config: RunConfig,
+            rng_factory) -> resample.BalanceResult:
+    """Top every class up to the largest base set; ``rng_factory(c)`` seeds class ``c``."""
+    return resample.build_balanced(ds, base_sets, knn_k=config.omrp_k,
+                                   max_attempts_factor=config.omrp_max_attempts_factor,
+                                   rng_factory=rng_factory)
+
+
 def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
               config: RunConfig, repeat: int, fold: int) -> FoldResult:
     seed = config.seed
@@ -99,36 +130,26 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
         train_ds = Dataset(minmax_apply(train_ds.features, lo, span), train_ds.labels, ds.class_names)
         test_x = minmax_apply(test_x, lo, span)
 
-    model = posterior.fit_nb(train_ds)
-    post = posterior.posteriors(model, train_ds)
-    thresholds = region.class_thresholds(post, train_ds.labels, mode=config.threshold_mode)
-    assignment = region.partition(post, thresholds, train_ds.labels)
+    assignment = partition_regions(train_ds, config)
     result.timings["partition"] = clock() - t0
 
     t0 = clock()
-    nonoverlap = overlap.sor_all(train_ds, assignment, z_threshold=config.z_threshold,
-                                 fallback_fraction=config.sor_fallback_fraction,
-                                 keep_mode=config.sor_keep)
-    base_sets = resample.base_sample_sets(train_ds, assignment, nonoverlap,
-                                          noise_remove_fraction=config.noise_remove_fraction)
+    base_sets = clean(train_ds, assignment, config)
     result.timings["clean"] = clock() - t0
 
     t0 = clock()
     if train_ds.n_samples >= config.or_knn_k + 1:
         result.or_before = metrics.overlap_ratios(train_ds, knn_k=config.or_knn_k).or_dataset
-    cleaned_idx = np.sort(np.concatenate([base_sets[c] for c in range(ds.n_classes)]))
-    cleaned = train_ds.subset(cleaned_idx)  # raises if cleaning emptied a class
+    cleaned = train_ds.subset(kept_indices(base_sets))  # raises if cleaning emptied a class
     if cleaned.n_samples >= config.or_knn_k + 1:
         result.or_after = metrics.overlap_ratios(cleaned, knn_k=config.or_knn_k).or_dataset
     result.timings["overlap_ratio"] = clock() - t0
 
     t0 = clock()
     if config.use_balancing:
-        balanced = resample.build_balanced(
-            train_ds, base_sets, knn_k=config.omrp_k,
-            max_attempts_factor=config.omrp_max_attempts_factor,
-            rng_factory=lambda c: rng_for(seed, "omrp", repeat, fold, c))
-        data_x, data_y = balanced.dataset.features, balanced.dataset.labels
+        balanced = balance(train_ds, base_sets, config,
+                           lambda c: rng_for(seed, "omrp", repeat, fold, c)).dataset
+        data_x, data_y = balanced.features, balanced.labels
     else:
         data_x, data_y = cleaned.features, cleaned.labels
     result.timings["balance"] = clock() - t0
@@ -214,7 +235,7 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None,
                 test_idx = fold_plan.test_indices(r, f)
                 try:
                     result = _run_fold(dataset, train_idx, test_idx, config, r, f)
-                except Exception as exc:
+                except ValueError as exc:
                     result = FoldResult(repeat=r, fold=f, status="aborted",
                                         reason=f"{type(exc).__name__}: {exc}")
                 result.plan = fold_plan
@@ -239,26 +260,27 @@ COMPONENT_VARIANTS = {
 }
 
 
+def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
+    """One report per variant's config overrides, every variant on the same fold plan."""
+    if dataset is None:
+        dataset = load_csv(config.data_path, config.label_column)
+    plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
+    return {key: run_cv(config.with_overrides(**overrides), dataset, plan)
+            for key, overrides in variants.items()}
+
+
 def ablate_noise(config: RunConfig, fractions=DEFAULT_NOISE_FRACTIONS,
                  dataset: Dataset | None = None) -> dict:
     """One report per noise-removal fraction, all sharing the same fold plan."""
     fractions = tuple(fractions)
     if any(not 0.0 <= f <= 1.0 for f in fractions):
         raise ValueError("noise fractions must lie in [0, 1]")
-    if dataset is None:
-        dataset = load_csv(config.data_path, config.label_column)
-    plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
-    return {f: run_cv(config.with_overrides(noise_remove_fraction=f), dataset, plan)
-            for f in fractions}
+    return _sweep(config, {f: {"noise_remove_fraction": f} for f in fractions}, dataset)
 
 
 def ablate_components(config: RunConfig, dataset: Dataset | None = None) -> dict:
     """Reports for the no-balancing, no-pruning and full pipeline variants on shared folds."""
-    if dataset is None:
-        dataset = load_csv(config.data_path, config.label_column)
-    plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
-    return {name: run_cv(config.with_overrides(**switches), dataset, plan)
-            for name, switches in COMPONENT_VARIANTS.items()}
+    return _sweep(config, COMPONENT_VARIANTS, dataset)
 
 
 # ---------------------------------------------------------------------------

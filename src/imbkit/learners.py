@@ -248,8 +248,3 @@ def vote_shares(preds: np.ndarray, mask, n_classes: int) -> np.ndarray:
     sel = preds[mask]
     return (_count_votes(sel, n_classes) / sel.shape[0]).T
 
-
-def majority_vote(pool: ClassifierPool, mask, x) -> int:
-    """Voted label for a single feature vector."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return int(vote_from_predictions(member_predictions(pool, x), mask, pool.n_classes)[0])

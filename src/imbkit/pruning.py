@@ -72,15 +72,6 @@ def _mask_fitness(preds: np.ndarray, mask: np.ndarray, truth: np.ndarray, n_clas
     return classification_metrics(voted, truth, n_classes).macro_f1
 
 
-def evaluate_mask(pool: ClassifierPool, mask, features, labels) -> float:
-    """Macro F-score of the mask's majority vote; the independent recheck for results."""
-    preds = member_predictions(pool, features)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # fitness data may legitimately miss a class
-        return _mask_fitness(preds, np.asarray(mask), np.asarray(labels, dtype=np.int64),
-                             pool.n_classes)
-
-
 def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20,
           t_max: int = 50, rng: np.random.Generator | None = None) -> PrunedEnsemble:
     """Select the classifier subset with the best voted macro F-score on the fitness data."""

@@ -41,16 +41,6 @@ def balance_plan(class_base_counts, class_names=None) -> BalancePlan:
                        max_class=int(counts.argmax()))
 
 
-def penalty_accept(x_prime, own_class, other_classes) -> bool:
-    """True when x' is at least as close to its own class as to any other class."""
-    own = np.atleast_2d(own_class)
-    other = np.atleast_2d(other_classes)
-    if own.size == 0 or other.size == 0:
-        raise ValueError("reference sets must be non-empty")
-    x = np.atleast_2d(x_prime)
-    return bool(min_dist(x, own)[0] <= min_dist(x, other)[0])
-
-
 @dataclass
 class SyntheticBatch:
     class_id: int
@@ -213,12 +203,3 @@ def build_balanced(ds: Dataset, base_sets: dict[int, np.ndarray], *, knn_k: int 
                          source_indices=np.concatenate(src), batches=batches,
                          plan=plan, base_sets=base_sets)
 
-
-def balanced_dataset(ds: Dataset, assignment: RegionAssignment,
-                     nonoverlap_sets: dict[int, np.ndarray], *,
-                     noise_remove_fraction: float = 1.0, knn_k: int = 5,
-                     max_attempts_factor: int = 50, rng_factory=None) -> Dataset:
-    """Balanced dataset where every class reaches the largest base-set size."""
-    base = base_sample_sets(ds, assignment, nonoverlap_sets, noise_remove_fraction)
-    return build_balanced(ds, base, knn_k=knn_k, max_attempts_factor=max_attempts_factor,
-                          rng_factory=rng_factory).dataset

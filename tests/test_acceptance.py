@@ -20,7 +20,8 @@ import pytest
 from imbkit.config import RunConfig
 from imbkit.data_model import Dataset, load_csv, rng_for
 from imbkit.distances import min_dist
-from imbkit.harness import ablate_components, ablate_noise, emit_report, run_cv
+from imbkit.harness import (ablate_components, ablate_noise, clean, emit_report, kept_indices,
+                            partition_regions, run_cv)
 from imbkit import learners, metrics, overlap, posterior, pruning, region, resample
 from tests.conftest import make_blobs
 from tests.test_posterior import direct_posterior_oracle
@@ -31,18 +32,6 @@ from tests.test_pruning import FixedPredictor, OraclePredictor, build_pool, exha
 def line(num, name, ok, detail=""):
     print(f"[ACCEPTANCE {num}] {name}: {'PASS' if ok else 'FAIL'}  {detail}".rstrip())
     return ok
-
-
-def full_data_cleaning(ds, config=None):
-    cfg = config or RunConfig()
-    post = posterior.posteriors(posterior.fit_nb(ds), ds)
-    thr = region.class_thresholds(post, ds.labels, mode=cfg.threshold_mode)
-    assign = region.partition(post, thr, ds.labels)
-    nonov = overlap.sor_all(ds, assign, z_threshold=cfg.z_threshold,
-                            fallback_fraction=cfg.sor_fallback_fraction, keep_mode=cfg.sor_keep)
-    base = resample.base_sample_sets(ds, assign, nonov,
-                                     noise_remove_fraction=cfg.noise_remove_fraction)
-    return assign, nonov, base
 
 
 def test_01_posterior_oracle_equivalence():
@@ -111,6 +100,7 @@ def test_03_sor_jump_oracle():
 def test_04_overlap_ratio_direction(data_dir):
     """Cleaning strictly lowers the dataset overlap ratio on the named benchmarks."""
     t0 = time.perf_counter()
+    cfg = RunConfig()
     outcomes = []
     missing = []
     for name in ("contraceptive", "vehicle", "vertebral", "winequality-red"):
@@ -119,8 +109,7 @@ def test_04_overlap_ratio_direction(data_dir):
             missing.append(name)
             continue
         ds = load_csv(path, "class")
-        _, _, base = full_data_cleaning(ds)
-        kept = np.sort(np.concatenate([base[c] for c in range(ds.n_classes)]))
+        kept = kept_indices(clean(ds, partition_regions(ds, cfg), cfg))
         before = metrics.overlap_ratios(ds, 5).or_dataset
         after = metrics.overlap_ratios(ds.subset(kept), 5).or_dataset
         outcomes.append((name, before, after, after < before))
@@ -142,9 +131,10 @@ def test_05_balancing_exactness(data_dir, separable_ds, overlapping_imbalanced_d
         path = data_dir / f"{name}.csv"
         if path.exists():
             cases.append((name, load_csv(path, "class")))
+    cfg = RunConfig()
     checked = rechecked = 0
     for name, ds in cases:
-        _, _, base = full_data_cleaning(ds)
+        base = clean(ds, partition_regions(ds, cfg), cfg)
         result = resample.build_balanced(ds, base, rng_factory=lambda c: rng_for(0, "omrp", c))
         counts = result.dataset.class_counts()
         assert len(set(counts.tolist())) == 1, f"{name}: unequal counts {counts}"
@@ -295,7 +285,7 @@ def test_08_noise_ablation_trend(data_dir):
         assert shared, "fold plans must be shared across fractions"
         keep, drop = (reps[f].aggregate["f1"]["mean"] for f in (0.0, 1.0))
         improved[name] = drop > keep
-        assign, _, _ = full_data_cleaning(ds.subset(reps[0.0].folds[0].train_indices), config)
+        assign = partition_regions(ds.subset(reps[0.0].folds[0].train_indices), config)
         share = float(np.mean(assign.tags == region.NOISY))
         details.append(f"{name}: f1 {keep:.4f}->{drop:.4f} noisy={share:.0%}")
     wins = sum(improved.values())

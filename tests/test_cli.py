@@ -1,10 +1,11 @@
 import csv
 import json
+from dataclasses import fields
 
-import numpy as np
 import pytest
 
-from imbkit.cli import main
+from imbkit.cli import _build_config, build_parser, main
+from imbkit.config import RunConfig
 from tests.conftest import make_blobs
 
 
@@ -103,6 +104,55 @@ class TestRunCommand:
     def test_missing_data_is_hard_error(self, tmp_path):
         rc = main(["run", "--data", str(tmp_path / "ghost.csv"), "--label-col", "class"])
         assert rc == 2
+
+    def test_no_data_flag_is_hard_error(self, capsys):
+        assert main(["run"]) == 2
+        assert "--data" in capsys.readouterr().err
+
+
+STAGE_COMMANDS = ("partition", "clean", "balance", "run", "ablate-noise", "ablate-components")
+
+# A value differing from each field's default, and the argv that sets it.
+NON_DEFAULT = {
+    "data_path": (["--data", "x.csv"], "x.csv"),
+    "label_column": (["--label-col", "label"], "label"),
+    "seed": (["--seed", "7"], 7),
+    "folds": (["--folds", "3"], 3),
+    "repeats": (["--repeats", "2"], 2),
+    "scale": (["--scale"], True),
+    "threshold_mode": (["--threshold-mode", "mean"], "mean"),
+    "z_threshold": (["--z-threshold", "1.5"], 1.5),
+    "sor_fallback_fraction": (["--sor-fallback-fraction", "0.2"], 0.2),
+    "sor_keep": (["--sor-keep", "before"], "before"),
+    "omrp_k": (["--omrp-k", "3"], 3),
+    "omrp_max_attempts_factor": (["--omrp-max-attempts-factor", "9"], 9),
+    "jaya_pop": (["--jaya-pop", "4"], 4),
+    "jaya_iters": (["--jaya-iters", "6"], 6),
+    "use_balancing": (["--no-balancing"], False),
+    "use_pruning": (["--no-pruning"], False),
+    "noise_remove_fraction": (["--noise-remove-fraction", "0.5"], 0.5),
+    "or_knn_k": (["--or-knn-k", "4"], 4),
+}
+
+
+class TestDerivedFlags:
+    def test_every_field_but_pool_has_one_flag(self):
+        assert set(NON_DEFAULT) == {f.name for f in fields(RunConfig)} - {"pool"}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for command in STAGE_COMMANDS:
+            dests = [a.dest for a in sub.choices[command]._actions]
+            assert "pool" not in dests, command
+            for name in NON_DEFAULT:
+                assert dests.count(name) == 1, (command, name)
+
+    @pytest.mark.parametrize("command", STAGE_COMMANDS)
+    def test_each_flag_sets_its_field(self, command):
+        parser = build_parser()
+        for name, (argv, value) in NON_DEFAULT.items():
+            assert getattr(RunConfig(), name) != value, name
+            extra = [] if name == "data_path" else ["--data", "x.csv"]
+            cfg = _build_config(parser.parse_args([command, *extra, *argv]))
+            assert getattr(cfg, name) == value, name
 
 
 class TestAblateCommands:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from imbkit import harness
 from imbkit.config import RunConfig, config_from_dict, load_config_file, merge_config
 from imbkit.data_model import Dataset, stratified_folds
 from imbkit.harness import (ExperimentReport, FoldResult, ablate_components, ablate_noise,
@@ -56,6 +57,13 @@ class TestRunCv:
         assert aborted and all("single" in fr.reason for fr in aborted)
         # completed folds still report metrics
         assert any(fr.status == "ok" and fr.metrics for fr in rep.folds)
+
+    def test_programming_error_propagates(self, monkeypatch, separable_ds):
+        def broken(*args):
+            raise TypeError("broken stage")
+        monkeypatch.setattr(harness, "clean", broken)
+        with pytest.raises(TypeError, match="broken stage"):
+            run_cv(RunConfig(seed=0, **FAST), dataset=separable_ds)
 
     def test_missing_data_path_rejected(self):
         with pytest.raises(ValueError, match="data_path"):

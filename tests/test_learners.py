@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbkit.learners import (DEFAULT_POOL_SPEC, ExtraTreeClassifier, GaussianNBClassifier,
-                             GiniTreeClassifier, KNNClassifier, _count_votes, majority_vote,
-                             member_predictions, train_pool, vote_from_predictions,
-                             vote_shares)
+                             GiniTreeClassifier, KNNClassifier, _count_votes, member_predictions,
+                             train_pool, vote_from_predictions, vote_shares)
 from tests.conftest import make_blobs
 
 
@@ -115,6 +114,12 @@ class TestTrainPool:
         pa = member_predictions(a, ds.features)
         pb = member_predictions(b, ds.features)
         assert np.array_equal(pa, pb)
+
+
+def majority_vote(pool, mask, x) -> int:
+    """Voted label for a single feature vector."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return int(vote_from_predictions(member_predictions(pool, x), mask, pool.n_classes)[0])
 
 
 class TestMajorityVote:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from imbkit.config import RunConfig
 from imbkit.data_model import Dataset
+from imbkit.harness import partition_regions
 from imbkit.overlap import gap_profile, gap_statistics, select_non_overlapping, sor_all
 from imbkit.region import CORE, NOISY, OVERLAPPING, ClassThresholds, RegionAssignment
 from tests.conftest import make_blobs
@@ -179,21 +181,15 @@ class TestSorAll:
         assert out[1].tolist() == [25]   # the sample at -28
 
     def test_deterministic(self, overlapping_imbalanced_ds):
-        from imbkit.posterior import fit_nb, posteriors
-        from imbkit.region import class_thresholds, partition
         ds = overlapping_imbalanced_ds
-        post = posteriors(fit_nb(ds), ds)
-        assign = partition(post, class_thresholds(post, ds.labels), ds.labels)
+        assign = partition_regions(ds, RunConfig())
         a = sor_all(ds, assign)
         b = sor_all(ds, assign)
         assert all(np.array_equal(a[c], b[c]) for c in a)
 
     def test_selection_subset_of_overlap_region(self, overlapping_imbalanced_ds):
-        from imbkit.posterior import fit_nb, posteriors
-        from imbkit.region import class_thresholds, partition
         ds = overlapping_imbalanced_ds
-        post = posteriors(fit_nb(ds), ds)
-        assign = partition(post, class_thresholds(post, ds.labels), ds.labels)
+        assign = partition_regions(ds, RunConfig())
         out = sor_all(ds, assign)
         for c, kept in out.items():
             overlap_c = set(assign.indices(OVERLAPPING, c).tolist())

@@ -7,7 +7,7 @@ import pytest
 from imbkit import pruning
 from imbkit.learners import ClassifierPool, member_predictions, vote_from_predictions
 from imbkit.metrics import classification_metrics
-from imbkit.pruning import digitize, evaluate_mask, jaya_update, prune
+from imbkit.pruning import digitize, jaya_update, prune
 
 
 class FixedPredictor:
@@ -44,6 +44,15 @@ class NoisyPredictor:
 
     def predict(self, x):
         return np.array([self._map[tuple(row)] for row in np.atleast_2d(x)], dtype=np.int64)
+
+
+def evaluate_mask(pool: ClassifierPool, mask, features, labels) -> float:
+    """Macro F-score of the mask's majority vote; the independent recheck for results."""
+    preds = member_predictions(pool, features)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fitness data may legitimately miss a class
+        return pruning._mask_fitness(preds, np.asarray(mask), np.asarray(labels, dtype=np.int64),
+                                     pool.n_classes)
 
 
 def build_pool(members, n_classes, n_features=1):

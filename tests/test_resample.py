@@ -3,13 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbkit.config import RunConfig
 from imbkit.data_model import Dataset, PipelineWarning, rng_for
-from imbkit.posterior import fit_nb, posteriors
-from imbkit.region import class_thresholds, partition
+from imbkit.distances import min_dist
+from imbkit.harness import balance, clean, partition_regions
 from imbkit.overlap import sor_all
-from imbkit.resample import (BalancePlan, balance_plan, balanced_dataset, base_sample_sets,
-                             build_balanced, omrp, penalty_accept)
+from imbkit.resample import BalancePlan, balance_plan, base_sample_sets, build_balanced, omrp
 from tests.conftest import make_blobs
+
+
+def penalty_accept(x_prime, own_class, other_classes) -> bool:
+    """True when x' is at least as close to its own class as to any other class."""
+    own = np.atleast_2d(own_class)
+    other = np.atleast_2d(other_classes)
+    if own.size == 0 or other.size == 0:
+        raise ValueError("reference sets must be non-empty")
+    x = np.atleast_2d(x_prime)
+    return bool(min_dist(x, own)[0] <= min_dist(x, other)[0])
 
 
 class TestBalancePlan:
@@ -128,11 +138,9 @@ class TestOmrp:
             assert penalty_accept(x, own, other)
 
 
-def cleaned_pipeline(ds, noise_remove_fraction=1.0):
-    post = posteriors(fit_nb(ds), ds)
-    assign = partition(post, class_thresholds(post, ds.labels), ds.labels)
-    nonov = sor_all(ds, assign)
-    return assign, nonov
+def cleaned_pipeline(ds):
+    assign = partition_regions(ds, RunConfig())
+    return assign, sor_all(ds, assign)
 
 
 class TestBalancedDataset:
@@ -161,7 +169,7 @@ class TestBalancedDataset:
     def test_already_balanced_separable_is_identity(self, separable_ds):
         ds = separable_ds
         assign, nonov = cleaned_pipeline(ds)
-        out = balanced_dataset(ds, assign, nonov)
+        out = build_balanced(ds, base_sample_sets(ds, assign, nonov)).dataset
         # separable and balanced: base sets are the full classes, no synthetics
         assert out.n_samples == ds.n_samples
         assert np.array_equal(np.sort(out.class_counts()), np.sort(ds.class_counts()))
@@ -189,8 +197,9 @@ class TestBalancedDataset:
     def test_determinism_bytes(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
         assign, nonov = cleaned_pipeline(ds)
-        a = balanced_dataset(ds, assign, nonov, rng_factory=lambda c: rng_for(7, "omrp", c))
-        b = balanced_dataset(ds, assign, nonov, rng_factory=lambda c: rng_for(7, "omrp", c))
+        base = base_sample_sets(ds, assign, nonov)
+        a = build_balanced(ds, base, rng_factory=lambda c: rng_for(7, "omrp", c)).dataset
+        b = build_balanced(ds, base, rng_factory=lambda c: rng_for(7, "omrp", c)).dataset
         assert a.features.tobytes() == b.features.tobytes()
         assert np.array_equal(a.labels, b.labels)
 
@@ -202,6 +211,7 @@ class TestBalancedDataset:
             pytest.skip("contraceptive.csv not fetched")
         from imbkit.data_model import load_csv
         ds = load_csv(path, "class")
-        assign, nonov = cleaned_pipeline(ds)
-        out = balanced_dataset(ds, assign, nonov, rng_factory=lambda c: rng_for(0, "omrp", c))
+        cfg = RunConfig()
+        base = clean(ds, partition_regions(ds, cfg), cfg)
+        out = balance(ds, base, cfg, lambda c: rng_for(0, "omrp", c)).dataset
         assert out.class_counts().tolist() == [185, 185, 185]
