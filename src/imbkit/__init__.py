@@ -2,8 +2,7 @@
 oversampling and Jaya-pruned weak-classifier ensembles for imbalanced data."""
 
 from .config import RunConfig, config_from_dict, load_config_file
-from .data_model import (Dataset, FoldPlan, PipelineWarning, imbalance_ratio, load_csv,
-                         stratified_folds)
+from .data_model import Dataset, FoldPlan, PipelineWarning, load_csv, stratified_folds
 from .harness import ExperimentReport, ablate_components, ablate_noise, emit_report, run_cv
 from .learners import ClassifierPool, train_pool
 from .metrics import classification_metrics, confusion_matrix, macro_ovr_auc, overlap_ratios
@@ -18,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig", "config_from_dict", "load_config_file",
-    "Dataset", "FoldPlan", "PipelineWarning", "imbalance_ratio", "load_csv", "stratified_folds",
+    "Dataset", "FoldPlan", "PipelineWarning", "load_csv", "stratified_folds",
     "ExperimentReport", "ablate_components", "ablate_noise", "emit_report", "run_cv",
     "ClassifierPool", "train_pool",
     "classification_metrics", "confusion_matrix", "macro_ovr_auc", "overlap_ratios",

@@ -6,12 +6,13 @@ provenance column, ``run`` executes cross-validation, ``ablate-noise`` and
 ``ablate-components`` sweep the ablation grids, ``report`` summarizes an
 emitted JSON report.  Flags override JSON config-file values, which override
 defaults.  Exit code 0 on success, 1 when any emitted report is partial, 2 on
-hard errors.
+hard errors, an out-of-range config value among them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import harness, metrics, overlap, region
 from .config import RunConfig, load_config_file, merge_config
-from .data_model import Dataset, load_csv, minmax_apply, minmax_fit, rng_for
+from .data_model import Dataset, load_csv, minmax_scale, rng_for
 
 
 # Every RunConfig field but ``pool`` (config file only) is a flag named after
@@ -57,30 +58,32 @@ def _build_config(args) -> RunConfig:
 
 def _load(cfg: RunConfig) -> Dataset:
     ds = load_csv(cfg.data_path, cfg.label_column)
-    if cfg.scale:
-        lo, span = minmax_fit(ds.features)
-        ds = Dataset(minmax_apply(ds.features, lo, span), ds.labels, ds.class_names)
-    return ds
+    return minmax_scale(ds)[0] if cfg.scale else ds
 
 
-def _open_out(path):
-    return open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+def _write_csv(path, header, rows) -> None:
+    """Write a header row and ``rows`` as CSV to ``path``, or to stdout when no path is given."""
+    out = open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    with out as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _dataset_table(ds: Dataset):
+    """CSV header and rows of ``ds``: features f1..fz at six decimals, then the class name."""
+    header = [f"f{i + 1}" for i in range(ds.n_features)] + ["class"]
+    rows = ([f"{v:.6f}" for v in x] + [ds.class_names[y]] for x, y in zip(ds.features, ds.labels))
+    return header, rows
 
 
 def cmd_partition(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
     assignment = harness.partition_regions(ds, cfg)
-    f = _open_out(args.out)
-    try:
-        w = csv.writer(f)
-        w.writerow(["sample_index", "label", "tag", "max_own_posterior"])
-        for i in range(ds.n_samples):
-            w.writerow([i, ds.class_names[ds.labels[i]], region.TAG_NAMES[assignment.tags[i]],
-                        f"{assignment.max_own_posterior[i]:.6f}"])
-    finally:
-        if f is not sys.stdout:
-            f.close()
+    _write_csv(args.out, ["sample_index", "label", "tag", "max_own_posterior"],
+               ([i, ds.class_names[ds.labels[i]], region.TAG_NAMES[assignment.tags[i]],
+                 f"{assignment.max_own_posterior[i]:.6f}"] for i in range(ds.n_samples)))
     counts = assignment.counts()
     print(f"partition: {counts['core']} core, {counts['overlapping']} overlapping, "
           f"{counts['noisy']} noisy", file=sys.stderr)
@@ -98,11 +101,7 @@ def cmd_clean(args) -> int:
     print(f"overlap ratio after:  {after * 100:.2f}%")
     print(f"kept {kept.size} of {ds.n_samples} samples")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow([f"f{i + 1}" for i in range(ds.n_features)] + ["class"])
-            for i in kept:
-                w.writerow([f"{v:.6f}" for v in ds.features[i]] + [ds.class_names[ds.labels[i]]])
+        _write_csv(args.out, *_dataset_table(cleaned))
     return 0
 
 
@@ -112,49 +111,44 @@ def cmd_balance(args) -> int:
     base = harness.clean(ds, harness.partition_regions(ds, cfg), cfg)
     result = harness.balance(ds, base, cfg, lambda c: rng_for(cfg.seed, "omrp", c))
     out = result.dataset
-    f = _open_out(args.out)
-    try:
-        w = csv.writer(f)
-        w.writerow([f"f{i + 1}" for i in range(out.n_features)] + ["class", "provenance"])
-        for i in range(out.n_samples):
-            w.writerow([f"{v:.6f}" for v in out.features[i]]
-                       + [out.class_names[out.labels[i]], result.provenance[i]])
-    finally:
-        if f is not sys.stdout:
-            f.close()
+    header, rows = _dataset_table(out)
+    _write_csv(args.out, header + ["provenance"],
+               (row + [p] for row, p in zip(rows, result.provenance)))
     counts = ", ".join(f"{n}={c}" for n, c in zip(out.class_names, out.class_counts()))
     print(f"balanced class counts: {counts}", file=sys.stderr)
     return 0
 
 
+def _print_aggregate(aggregate: dict, prefix: str = "") -> None:
+    for key, ms in aggregate.items():
+        print(f"{prefix}{key}: {ms['mean']:.4f} +/- {ms['std']:.4f}")
+
+
+def _emit(report, path, fmt: str, prefix: str = "") -> int:
+    """Write ``report`` and print its aggregate; exit code 1, and a note on stderr, if partial."""
+    harness.emit_report(report, path, fmt=fmt)
+    _print_aggregate(report.aggregate, prefix)
+    if not report.partial:
+        return 0
+    aborted = sum(1 for fr in report.folds if fr.status != "ok")
+    print(f"{prefix}partial report: {aborted} aborted fold(s)", file=sys.stderr)
+    return 1
+
+
 def cmd_run(args) -> int:
     cfg = _build_config(args)
-    report = harness.run_cv(cfg)
-    out = args.out or "report.json"
-    harness.emit_report(report, out, fmt=args.format)
-    _print_aggregate(report)
-    return 1 if report.partial else 0
-
-
-def _print_aggregate(report, prefix="") -> None:
-    for key, ms in report.aggregate.items():
-        print(f"{prefix}{key}: {ms['mean']:.4f} +/- {ms['std']:.4f}")
-    if report.partial:
-        aborted = sum(1 for fr in report.folds if fr.status != "ok")
-        print(f"{prefix}partial report: {aborted} aborted fold(s)", file=sys.stderr)
+    return _emit(harness.run_cv(cfg), args.out or "report.json", args.format)
 
 
 def _emit_sweep(args, outputs) -> int:
     """Write each (file stem, heading, report) of a sweep and print its heading and aggregate."""
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    partial = False
+    rc = 0
     for stem, heading, rep in outputs:
-        harness.emit_report(rep, outdir / f"{stem}.{args.format}", fmt=args.format)
         print(heading)
-        _print_aggregate(rep, prefix="   ")
-        partial |= rep.partial
-    return 1 if partial else 0
+        rc |= _emit(rep, outdir / f"{stem}.{args.format}", args.format, prefix="   ")
+    return rc
 
 
 def cmd_ablate_noise(args) -> int:
@@ -176,11 +170,9 @@ def cmd_ablate_components(args) -> int:
 def cmd_report(args) -> int:
     with open(args.input, encoding="utf-8") as f:
         doc = json.load(f)
-    agg = doc.get("aggregate", {})
     print(f"dataset: {doc['config'].get('data_path')}")
     print(f"folds: {len(doc.get('folds', []))} (partial={doc.get('partial')})")
-    for key, ms in agg.items():
-        print(f"{key}: {ms['mean']:.4f} +/- {ms['std']:.4f}")
+    _print_aggregate(doc.get("aggregate", {}))
     ors = doc.get("overlap_ratios", {})
     if "before" in ors and "after" in ors:
         print(f"overlap ratio: {ors['before']['mean'] * 100:.2f}% -> {ors['after']['mean'] * 100:.2f}%")

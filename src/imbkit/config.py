@@ -6,6 +6,9 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .overlap import KEEP_MODES
+from .region import THRESHOLD_MODES
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -28,6 +31,25 @@ class RunConfig:
     noise_remove_fraction: float = 1.0
     or_knn_k: int = 5
     pool: tuple | None = None             # ((kind, {params}), ...); None = default pool
+
+    def __post_init__(self):
+        # Checked up front: out of range, a value would abort every fold as if
+        # the data were degenerate (or, for repeats, run none).
+        rules = (
+            ("folds", self.folds >= 2, ">= 2"),
+            ("repeats", self.repeats >= 1, ">= 1"),
+            ("threshold_mode", self.threshold_mode in THRESHOLD_MODES, f"one of {THRESHOLD_MODES}"),
+            ("sor_fallback_fraction", 0.0 < self.sor_fallback_fraction <= 1.0, "in (0, 1]"),
+            ("sor_keep", self.sor_keep in KEEP_MODES, f"one of {KEEP_MODES}"),
+            ("omrp_k", self.omrp_k >= 1, ">= 1"),
+            ("jaya_pop", self.jaya_pop >= 2, ">= 2"),
+            ("jaya_iters", self.jaya_iters >= 1, ">= 1"),
+            ("noise_remove_fraction", 0.0 <= self.noise_remove_fraction <= 1.0, "in [0, 1]"),
+            ("or_knn_k", self.or_knn_k >= 1, ">= 1"),
+        )
+        bad = [f"{name}={getattr(self, name)!r} (must be {rule})" for name, ok, rule in rules if not ok]
+        if bad:
+            raise ValueError("invalid config: " + "; ".join(bad))
 
     def to_dict(self) -> dict:
         out = {}

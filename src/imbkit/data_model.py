@@ -1,4 +1,4 @@
-"""Dataset container, CSV ingestion, imbalance measurement and fold planning."""
+"""Dataset container, CSV ingestion, fold planning and min-max scaling."""
 
 from __future__ import annotations
 
@@ -142,12 +142,6 @@ def load_csv(path, label_column) -> Dataset:
     return Dataset(np.asarray(rows, dtype=np.float64), labels, tuple(names))
 
 
-def imbalance_ratio(ds: Dataset) -> float:
-    """Largest class count over smallest class count; 1.0 when balanced."""
-    counts = ds.class_counts()
-    return float(counts.max()) / float(counts.min())
-
-
 @dataclass(frozen=True)
 class FoldPlan:
     """Repeated stratified CV as one test-fold id per sample and repeat.
@@ -215,13 +209,14 @@ def stratified_folds(ds: Dataset, k: int, repeats: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, repeats=repeats, fold_ids=_freeze(fold_ids), master_seed=int(seed))
 
 
-def minmax_fit(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature (min, range) for optional min-max scaling; constant features get range 1."""
-    lo = features.min(axis=0)
-    span = features.max(axis=0) - lo
+def minmax_scale(ds: Dataset, *others: np.ndarray) -> tuple:
+    """Min-max scale ``ds`` on its own per-feature range and map each of ``others`` the same way.
+
+    Returns the scaled Dataset followed by the mapped arrays.  Constant
+    features get range 1, so they map to zero.
+    """
+    lo = ds.features.min(axis=0)
+    span = ds.features.max(axis=0) - lo
     span = np.where(span > 0, span, 1.0)
-    return lo, span
-
-
-def minmax_apply(features: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    return (features - lo) / span
+    return (Dataset((ds.features - lo) / span, ds.labels, ds.class_names),
+            *((x - lo) / span for x in others))

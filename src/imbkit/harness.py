@@ -19,8 +19,8 @@ import numpy as np
 
 from . import learners, metrics, overlap, posterior, pruning, region, resample
 from .config import RunConfig
-from .data_model import (Dataset, FoldPlan, PipelineWarning, load_csv, minmax_apply,
-                         minmax_fit, rng_for, stratified_folds)
+from .data_model import (Dataset, FoldPlan, PipelineWarning, load_csv, minmax_scale, rng_for,
+                         stratified_folds)
 
 METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "g_mean", "auc")
 FITNESS_HOLDOUT_FRACTION = 0.2
@@ -56,7 +56,6 @@ class ExperimentReport:
     overlap_ratios: dict
     warnings: list
     partial: bool
-    timings: dict = field(default_factory=dict)  # in-memory only
 
     def to_document(self) -> dict:
         doc = {"config": self.config.to_dict()}
@@ -126,9 +125,7 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     test_x = ds.features[test_idx]
     test_y = ds.labels[test_idx]
     if config.scale:
-        lo, span = minmax_fit(train_ds.features)
-        train_ds = Dataset(minmax_apply(train_ds.features, lo, span), train_ds.labels, ds.class_names)
-        test_x = minmax_apply(test_x, lo, span)
+        train_ds, test_x = minmax_scale(train_ds, test_x)
 
     assignment = partition_regions(train_ds, config)
     result.timings["partition"] = clock() - t0
@@ -189,66 +186,48 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     return result
 
 
-def _aggregate(fold_results) -> dict:
-    ok = [fr for fr in fold_results if fr.status == "ok"]
-    agg = {}
-    for key in METRIC_KEYS:
-        vals = np.array([fr.metrics[key] for fr in ok if key in fr.metrics])
-        if vals.size:
-            agg[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    return agg
+def _mean_std(values: dict) -> dict:
+    """{key: {"mean", "std"}} of each key's list of values; keys with no values are left out."""
+    return {key: {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
+            for key, vals in values.items() if vals}
 
 
-def _or_summary(fold_results) -> dict:
-    out = {}
-    for name in ("or_before", "or_after"):
-        vals = np.array([getattr(fr, name) for fr in fold_results
-                         if fr.status == "ok" and getattr(fr, name) is not None])
-        key = name.split("_")[1]
-        if vals.size:
-            out[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
-    return out
-
-
-def run_cv(config: RunConfig, dataset: Dataset | None = None,
-           fold_plan: FoldPlan | None = None) -> ExperimentReport:
+def run_cv(config: RunConfig, dataset: Dataset | None = None) -> ExperimentReport:
     """Repeated stratified cross-validation of the full pipeline.
 
-    ``dataset`` and ``fold_plan`` may be supplied directly (ablations share a
-    plan across variants); otherwise they come from the config.  Deterministic
-    for a given config and seed.
+    ``dataset`` may be supplied directly; otherwise it is loaded from the
+    config.  The fold plan depends only on the data, ``folds``, ``repeats``
+    and ``seed``, so reports with those equal share it.  Deterministic for a
+    given config and seed.
     """
     if dataset is None:
         if config.data_path is None:
             raise ValueError("config.data_path is required when no dataset is passed")
         dataset = load_csv(config.data_path, config.label_column)
-    t_start = time.perf_counter()
     fold_results: list[FoldResult] = []
-    caught: list[str] = []
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
-        if fold_plan is None:
-            fold_plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
-        for r in range(fold_plan.repeats):
-            for f in range(fold_plan.k):
-                train_idx = fold_plan.train_indices(r, f)
-                test_idx = fold_plan.test_indices(r, f)
+        plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
+        for r in range(plan.repeats):
+            for f in range(plan.k):
                 try:
-                    result = _run_fold(dataset, train_idx, test_idx, config, r, f)
+                    result = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
+                                       config, r, f)
                 except ValueError as exc:
                     result = FoldResult(repeat=r, fold=f, status="aborted",
                                         reason=f"{type(exc).__name__}: {exc}")
-                result.plan = fold_plan
+                result.plan = plan
                 fold_results.append(result)
-        caught = [f"{w.category.__name__}: {w.message}" for w in wrec]
+    caught = [f"{w.category.__name__}: {w.message}" for w in wrec]
 
     ok = [fr for fr in fold_results if fr.status == "ok"]
-    report = ExperimentReport(
-        config=config, folds=fold_results, aggregate=_aggregate(fold_results),
-        overlap_ratios=_or_summary(fold_results), warnings=caught,
-        partial=(len(ok) < len(fold_results)) or not fold_results)
-    report.timings["total"] = time.perf_counter() - t_start
-    return report
+    aggregate = _mean_std({key: [fr.metrics[key] for fr in ok if key in fr.metrics]
+                           for key in METRIC_KEYS})
+    overlap_ratios = _mean_std({"before": [fr.or_before for fr in ok if fr.or_before is not None],
+                                "after": [fr.or_after for fr in ok if fr.or_after is not None]})
+    return ExperimentReport(config=config, folds=fold_results, aggregate=aggregate,
+                            overlap_ratios=overlap_ratios, warnings=caught,
+                            partial=len(ok) < len(fold_results))
 
 
 DEFAULT_NOISE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -261,20 +240,20 @@ COMPONENT_VARIANTS = {
 
 
 def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
-    """One report per variant's config overrides, every variant on the same fold plan."""
+    """One report per variant's config overrides, on one load of the data.
+
+    Every variant's config is built, and so checked, before any variant runs.
+    No variant overrides the fold settings, so all of them share one fold plan.
+    """
+    configs = {key: config.with_overrides(**overrides) for key, overrides in variants.items()}
     if dataset is None:
         dataset = load_csv(config.data_path, config.label_column)
-    plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
-    return {key: run_cv(config.with_overrides(**overrides), dataset, plan)
-            for key, overrides in variants.items()}
+    return {key: run_cv(cfg, dataset) for key, cfg in configs.items()}
 
 
 def ablate_noise(config: RunConfig, fractions=DEFAULT_NOISE_FRACTIONS,
                  dataset: Dataset | None = None) -> dict:
     """One report per noise-removal fraction, all sharing the same fold plan."""
-    fractions = tuple(fractions)
-    if any(not 0.0 <= f <= 1.0 for f in fractions):
-        raise ValueError("noise fractions must lie in [0, 1]")
     return _sweep(config, {f: {"noise_remove_fraction": f} for f in fractions}, dataset)
 
 

@@ -100,11 +100,10 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
 
     nb_table = _neighbor_table(class_data, knn_k)
     cap = max(needed * max_attempts_factor, MIN_ATTEMPT_CAP)
-    kept_x, kept_p, kept_nb, kept_a = [], [], [], []
-    rej_x, rej_p, rej_nb, rej_a, rej_margin = [], [], [], [], []
-    attempts = 0
     chunk = max(needed, 64)
-    while len(kept_x) < needed and attempts < cap:
+    tried = []  # per chunk: (candidates, parents, neighbors, alphas, margins) up to its last attempt
+    attempts = accepted = 0
+    while accepted < needed and attempts < cap:
         size = min(chunk, cap - attempts)
         parents = (attempts + np.arange(size)) % n
         nb_pick = rng.integers(0, nb_table.shape[1], size=size)
@@ -113,32 +112,27 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
         px = class_data[parents]
         cands = px + alphas[:, None] * (class_data[neighbors] - px)
         margins = min_dist(cands, others) - min_dist(cands, class_data)
-        for i in range(size):
-            attempts += 1
-            if margins[i] >= 0.0:
-                kept_x.append(cands[i]); kept_p.append(parents[i])
-                kept_nb.append(neighbors[i]); kept_a.append(alphas[i])
-                if len(kept_x) == needed:
-                    break
-            else:
-                rej_x.append(cands[i]); rej_p.append(parents[i])
-                rej_nb.append(neighbors[i]); rej_a.append(alphas[i])
-                rej_margin.append(margins[i])
+        passed = np.flatnonzero(margins >= 0.0)
+        room = needed - accepted
+        # the chunk's attempts end at the one that fills the quota
+        stop = int(passed[room - 1]) + 1 if passed.size >= room else size
+        tried.append((cands[:stop], parents[:stop], neighbors[:stop], alphas[:stop], margins[:stop]))
+        attempts += stop
+        accepted += min(passed.size, room)
 
-    accepted = len(kept_x)
+    cands, parents, neighbors, alphas, margins = (np.concatenate(col) for col in zip(*tried))
+    ok = margins >= 0.0
+    keep = np.flatnonzero(ok)
     shortfall = needed - accepted
     if shortfall > 0:
         warnings.warn(f"class {class_id}: only {accepted}/{needed} synthetic samples passed the "
                       f"penalty within {attempts} attempts; filling {shortfall} by best margin",
                       PipelineWarning, stacklevel=2)
-        order = np.lexsort((np.arange(len(rej_margin)), -np.asarray(rej_margin)))[:shortfall]
-        for i in order:
-            kept_x.append(rej_x[i]); kept_p.append(rej_p[i])
-            kept_nb.append(rej_nb[i]); kept_a.append(rej_a[i])
-    return SyntheticBatch(class_id=class_id, samples=np.asarray(kept_x),
-                          parents=np.asarray(kept_p, dtype=np.int64),
-                          neighbors=np.asarray(kept_nb, dtype=np.int64),
-                          alphas=np.asarray(kept_a), attempts_used=attempts,
+        rejected = np.flatnonzero(~ok)
+        best = rejected[np.lexsort((rejected, -margins[rejected]))[:shortfall]]
+        keep = np.concatenate([keep, best])
+    return SyntheticBatch(class_id=class_id, samples=cands[keep], parents=parents[keep],
+                          neighbors=neighbors[keep], alphas=alphas[keep], attempts_used=attempts,
                           accepted_count=accepted, shortfall=shortfall)
 
 
@@ -156,13 +150,13 @@ def base_sample_sets(ds: Dataset, assignment: RegionAssignment,
                      nonoverlap_sets: dict[int, np.ndarray],
                      noise_remove_fraction: float = 1.0) -> dict[int, np.ndarray]:
     """Per-class kept indices: core, selected non-overlapping, and surviving noisy samples."""
-    removed = set(noise_subset(assignment, noise_remove_fraction).tolist())
+    removed = noise_subset(assignment, noise_remove_fraction)
     out = {}
     for c in range(ds.n_classes):
         core = assignment.indices(CORE, c)
-        noisy_kept = [i for i in assignment.indices(NOISY, c) if i not in removed]
+        noisy_kept = np.setdiff1d(assignment.indices(NOISY, c), removed, assume_unique=True)
         keep = np.concatenate([core, nonoverlap_sets.get(c, np.empty(0, dtype=np.int64)),
-                               np.asarray(noisy_kept, dtype=np.int64)])
+                               noisy_kept])
         out[c] = np.sort(keep.astype(np.int64))
     return out
 

@@ -29,6 +29,12 @@ def make_blobs(centers, sizes, std=1.0, seed=0, class_names=None):
     return Dataset(np.vstack(feats), np.concatenate(labels), names)
 
 
+def imbalance_ratio(ds):
+    """Largest class count over smallest class count; 1.0 when balanced."""
+    counts = ds.class_counts()
+    return float(counts.max()) / float(counts.min())
+
+
 @pytest.fixture
 def separable_ds():
     # two classes 20 standard deviations apart: everything should be core

@@ -23,7 +23,7 @@ from imbkit.distances import min_dist
 from imbkit.harness import (ablate_components, ablate_noise, clean, emit_report, kept_indices,
                             partition_regions, run_cv)
 from imbkit import learners, metrics, overlap, posterior, pruning, region, resample
-from tests.conftest import make_blobs
+from tests.conftest import imbalance_ratio, make_blobs
 from tests.test_posterior import direct_posterior_oracle
 from tests.test_overlap import WORKED_DISTANCES, population_stats_oracle, worked_fixture
 from tests.test_pruning import FixedPredictor, OraclePredictor, build_pool, exhaustive_optimum
@@ -298,7 +298,6 @@ def test_08_noise_ablation_trend(data_dir):
 
 def test_09_component_ablation_trend(overlapping_imbalanced_ds):
     """Full pipeline G-mean >= no-balancing variant on the IR>=10 overlap fixture."""
-    from imbkit.data_model import imbalance_ratio
     assert imbalance_ratio(overlapping_imbalanced_ds) >= 10
     t0 = time.perf_counter()
     reps = ablate_components(RunConfig(seed=0, folds=5, repeats=2),

@@ -155,6 +155,30 @@ class TestDerivedFlags:
             assert getattr(cfg, name) == value, name
 
 
+# An out-of-range value for each RunConfig field that has a range.
+OUT_OF_RANGE = {"folds": 1, "repeats": 0, "threshold_mode": "median",
+                "sor_fallback_fraction": 0.0, "sor_keep": "middle", "omrp_k": 0, "jaya_pop": 1,
+                "jaya_iters": 0, "noise_remove_fraction": 1.5, "or_knn_k": 0}
+
+
+class TestOutOfRangeConfig:
+    @pytest.mark.parametrize("name", OUT_OF_RANGE)
+    def test_exits_2_naming_the_field(self, name, dataset_csv, tmp_path, capsys):
+        value = OUT_OF_RANGE[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_path": str(dataset_csv), "folds": 3, "repeats": 1,
+                                   "jaya_pop": 6, "jaya_iters": 4, name: value}))
+        out = tmp_path / "report.json"
+        argvs = [["run", "--config", str(cfg), "--out", str(out)]]
+        if not isinstance(value, str):  # argparse itself rejects a mode flag's unknown choice
+            argvs.append(["run", "--data", str(dataset_csv), *FAST_FLAGS,
+                          "--" + name.replace("_", "-"), str(value), "--out", str(out)])
+        for argv in argvs:
+            assert main(argv) == 2, argv
+            assert name in capsys.readouterr().err, argv
+            assert not out.exists()  # failed before any fold ran
+
+
 class TestAblateCommands:
     def test_ablate_noise_emits_per_fraction(self, dataset_csv, tmp_path):
         outdir = tmp_path / "noise"

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbkit.data_model import (DataFormatError, Dataset, PipelineWarning, imbalance_ratio,
-                               load_csv, minmax_apply, minmax_fit, rng_for, stratified_folds)
+from imbkit.data_model import (DataFormatError, Dataset, PipelineWarning, load_csv, minmax_scale,
+                               rng_for, stratified_folds)
+from tests.conftest import imbalance_ratio
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -191,8 +192,11 @@ class TestStratifiedFolds:
 
 class TestMinMax:
     def test_scales_to_unit_range(self):
-        x = np.array([[0.0, 5.0], [10.0, 5.0], [5.0, 5.0]])
-        lo, span = minmax_fit(x)
-        out = minmax_apply(x, lo, span)
+        ds = Dataset(np.array([[0.0, 5.0], [10.0, 5.0], [5.0, 5.0]]), np.array([0, 1, 0]), ("a", "b"))
+        scaled, mapped = minmax_scale(ds, np.array([[20.0, 7.0], [-5.0, 5.0]]))
+        out = scaled.features
         assert out[:, 0].min() == 0.0 and out[:, 0].max() == 1.0
         assert np.all(out[:, 1] == 0.0)  # constant feature maps to zero, no div error
+        assert np.array_equal(scaled.labels, ds.labels) and scaled.class_names == ds.class_names
+        # further arrays use the dataset's range, so they may leave [0, 1]
+        assert mapped.tolist() == [[2.0, 2.0], [-0.5, 0.0]]

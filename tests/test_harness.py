@@ -143,6 +143,19 @@ class TestAblations:
         tests = [r.folds[0].test_indices for r in reports.values()]
         assert all(np.array_equal(tests[0], t) for t in tests)
 
+    def test_sweep_reports_equal_run_cv_with_small_class(self, tmp_path):
+        # class c is smaller than folds, so every report carries the fold-plan warning
+        ds = make_blobs([(0.0, 0.0), (3.0, 3.0), (1.5, 1.5)], [40, 40, 3], seed=0)
+        cfg = RunConfig(seed=0, folds=5, repeats=1, jaya_pop=6, jaya_iters=5)
+        emit_report(run_cv(cfg, dataset=ds), tmp_path / "run.json")
+        expected = (tmp_path / "run.json").read_bytes()
+        assert b"(< 5 folds)" in expected
+        sweeps = {"full": ablate_components(cfg, dataset=ds)["full"],
+                  "noise": ablate_noise(cfg, fractions=(1.0,), dataset=ds)[1.0]}
+        for name, rep in sweeps.items():
+            emit_report(rep, tmp_path / f"{name}.json")
+            assert (tmp_path / f"{name}.json").read_bytes() == expected, name
+
     def test_bad_fraction_rejected(self, separable_ds):
         with pytest.raises(ValueError):
             ablate_noise(RunConfig(seed=0, **FAST), fractions=(0.0, 1.5), dataset=separable_ds)
@@ -212,6 +225,12 @@ class TestConfig:
     def test_round_trip(self):
         cfg = RunConfig(seed=3, omrp_k=7)
         assert config_from_dict(cfg.to_dict()) == cfg
+
+    def test_out_of_range_values_named_in_one_error(self):
+        with pytest.raises(ValueError) as err:
+            RunConfig(folds=1, omrp_k=0, sor_keep="middle")
+        assert all(name in str(err.value) for name in ("folds", "omrp_k", "sor_keep"))
+        assert "seed" not in str(err.value)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from imbkit.config import RunConfig
@@ -8,6 +10,7 @@ from imbkit.data_model import Dataset, PipelineWarning, rng_for
 from imbkit.distances import min_dist
 from imbkit.harness import balance, clean, partition_regions
 from imbkit.overlap import sor_all
+from imbkit import resample
 from imbkit.resample import BalancePlan, balance_plan, base_sample_sets, build_balanced, omrp
 from tests.conftest import make_blobs
 
@@ -20,6 +23,51 @@ def penalty_accept(x_prime, own_class, other_classes) -> bool:
         raise ValueError("reference sets must be non-empty")
     x = np.atleast_2d(x_prime)
     return bool(min_dist(x, own)[0] <= min_dist(x, other)[0])
+
+
+def omrp_reference(class_data, others, needed, knn_k, rng, max_attempts_factor):
+    """``omrp`` for a class of two or more samples, one attempt at a time in Python lists.
+
+    The reference for the array version: same draws, same acceptance order,
+    shortfall filled by (-margin, rejection order).
+    Returns (samples, parents, neighbors, alphas, attempts, accepted, shortfall).
+    """
+    n = class_data.shape[0]
+    nb_table = resample._neighbor_table(class_data, knn_k)
+    cap = max(needed * max_attempts_factor, resample.MIN_ATTEMPT_CAP)
+    kept_x, kept_p, kept_nb, kept_a = [], [], [], []
+    rej_x, rej_p, rej_nb, rej_a, rej_margin = [], [], [], [], []
+    attempts = 0
+    chunk = max(needed, 64)
+    while len(kept_x) < needed and attempts < cap:
+        size = min(chunk, cap - attempts)
+        parents = (attempts + np.arange(size)) % n
+        nb_pick = rng.integers(0, nb_table.shape[1], size=size)
+        neighbors = nb_table[parents, nb_pick]
+        alphas = rng.random(size)
+        px = class_data[parents]
+        cands = px + alphas[:, None] * (class_data[neighbors] - px)
+        margins = min_dist(cands, others) - min_dist(cands, class_data)
+        for i in range(size):
+            attempts += 1
+            if margins[i] >= 0.0:
+                kept_x.append(cands[i]); kept_p.append(parents[i])
+                kept_nb.append(neighbors[i]); kept_a.append(alphas[i])
+                if len(kept_x) == needed:
+                    break
+            else:
+                rej_x.append(cands[i]); rej_p.append(parents[i])
+                rej_nb.append(neighbors[i]); rej_a.append(alphas[i])
+                rej_margin.append(margins[i])
+    accepted = len(kept_x)
+    shortfall = needed - accepted
+    if shortfall > 0:
+        order = np.lexsort((np.arange(len(rej_margin)), -np.asarray(rej_margin)))[:shortfall]
+        for i in order:
+            kept_x.append(rej_x[i]); kept_p.append(rej_p[i])
+            kept_nb.append(rej_nb[i]); kept_a.append(rej_a[i])
+    return (np.asarray(kept_x), np.asarray(kept_p, dtype=np.int64),
+            np.asarray(kept_nb, dtype=np.int64), np.asarray(kept_a), attempts, accepted, shortfall)
 
 
 class TestBalancePlan:
@@ -124,7 +172,6 @@ class TestOmrp:
         rng = np.random.default_rng(seed)
         own = rng.normal(size=(n_own, z))
         other = rng.normal(loc=rng.uniform(-4, 4, size=z), size=(n_other, z))
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PipelineWarning)
             batch = omrp(own, other, needed, knn_k=5, rng=np.random.default_rng(seed + 1))
@@ -136,6 +183,28 @@ class TestOmrp:
         # the first accepted_count samples passed the penalty; recheck independently
         for x in batch.samples[:batch.accepted_count]:
             assert penalty_accept(x, own, other)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n_own=st.integers(2, 8), n_other=st.integers(1, 60),
+           z=st.integers(1, 3), needed=st.integers(1, 400), knn_k=st.integers(1, 5),
+           factor=st.integers(0, 2))
+    @example(seed=0, n_own=4, n_other=40, z=2, needed=300, knn_k=3, factor=1)  # 46 short
+    def test_matches_list_reference(self, seed, n_own, n_other, z, needed, knn_k, factor):
+        # one decimal makes duplicate points and zero margins common
+        rng = np.random.default_rng(seed)
+        own = rng.normal(size=(n_own, z)).round(1)
+        other = rng.normal(size=(n_other, z)).round(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PipelineWarning)
+            batch = omrp(own, other, needed, knn_k=knn_k, rng=np.random.default_rng(seed + 1),
+                         max_attempts_factor=factor)
+        want = omrp_reference(own, other, needed, knn_k, np.random.default_rng(seed + 1), factor)
+        got = (batch.samples, batch.parents, batch.neighbors, batch.alphas,
+               batch.attempts_used, batch.accepted_count, batch.shortfall)
+        event(f"shortfall={batch.shortfall > 0}")
+        for g, w in zip(got[:4], want[:4]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert got[4:] == want[4:]
 
 
 def cleaned_pipeline(ds):
