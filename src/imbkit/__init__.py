@@ -11,7 +11,7 @@ from .posterior import NBModel, PosteriorMatrix, fit_nb, posteriors
 from .pruning import PrunedEnsemble, digitize, jaya_update, prune
 from .region import (ClassThresholds, RegionAssignment, class_thresholds, noise_subset,
                      partition)
-from .resample import BalancePlan, SyntheticBatch, balance_plan, omrp
+from .resample import SyntheticBatch, balance_plan, omrp
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "NBModel", "PosteriorMatrix", "fit_nb", "posteriors",
     "PrunedEnsemble", "digitize", "jaya_update", "prune",
     "ClassThresholds", "RegionAssignment", "class_thresholds", "noise_subset", "partition",
-    "BalancePlan", "SyntheticBatch", "balance_plan", "omrp",
+    "SyntheticBatch", "balance_plan", "omrp",
 ]

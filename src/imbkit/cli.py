@@ -6,7 +6,7 @@ provenance column, ``run`` executes cross-validation, ``ablate-noise`` and
 ``ablate-components`` sweep the ablation grids, ``report`` summarizes an
 emitted JSON report.  Flags override JSON config-file values, which override
 defaults.  Exit code 0 on success, 1 when any emitted report is partial, 2 on
-hard errors, an out-of-range config value among them.
+hard errors, a wrong-typed or out-of-range config value among them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import harness, metrics, overlap, region
 from .config import RunConfig, load_config_file, merge_config
@@ -93,7 +95,7 @@ def cmd_partition(args) -> int:
 def cmd_clean(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
-    kept = harness.kept_indices(harness.clean(ds, harness.partition_regions(ds, cfg), cfg))
+    kept = np.flatnonzero(harness.clean(ds, harness.partition_regions(ds, cfg), cfg))
     before = metrics.overlap_ratios(ds, knn_k=cfg.or_knn_k).or_dataset
     cleaned = ds.subset(kept)
     after = metrics.overlap_ratios(cleaned, knn_k=cfg.or_knn_k).or_dataset
@@ -108,12 +110,13 @@ def cmd_clean(args) -> int:
 def cmd_balance(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
-    base = harness.clean(ds, harness.partition_regions(ds, cfg), cfg)
-    result = harness.balance(ds, base, cfg, lambda c: rng_for(cfg.seed, "omrp", c))
+    keep = harness.clean(ds, harness.partition_regions(ds, cfg), cfg)
+    result = harness.balance(ds, keep, cfg, lambda c: rng_for(cfg.seed, "omrp", c))
     out = result.dataset
     header, rows = _dataset_table(out)
     _write_csv(args.out, header + ["provenance"],
-               (row + [p] for row, p in zip(rows, result.provenance)))
+               (row + ["original" if s >= 0 else "synthetic"]
+                for row, s in zip(rows, result.source_indices)))
     counts = ", ".join(f"{n}={c}" for n, c in zip(out.class_names, out.class_counts()))
     print(f"balanced class counts: {counts}", file=sys.stderr)
     return 0
@@ -137,7 +140,7 @@ def _emit(report, path, fmt: str, prefix: str = "") -> int:
 
 def cmd_run(args) -> int:
     cfg = _build_config(args)
-    return _emit(harness.run_cv(cfg), args.out or "report.json", args.format)
+    return _emit(harness.run_cv(cfg), args.out or f"report.{args.format}", args.format)
 
 
 def _emit_sweep(args, outputs) -> int:
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = add("run", cmd_run, "repeated stratified cross-validation of the full pipeline")
-    p.add_argument("--out", help="report path (default report.json)")
+    p.add_argument("--out", help="report path (default report.<format>)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("ablate-noise", cmd_ablate_noise, "re-run CV at several noise-removal fractions")

@@ -10,6 +10,26 @@ from .overlap import KEEP_MODES
 from .region import THRESHOLD_MODES
 
 
+# The types each field annotation accepts; a bool is never taken for a number.
+_ACCEPTED_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,),
+                   "str | None": (str, type(None)), "str | int": (str, int),
+                   "tuple | None": (tuple, type(None))}
+
+# Range rules, checked only for a value of an accepted type.
+_RANGES = {
+    "folds": (lambda v: v >= 2, ">= 2"),
+    "repeats": (lambda v: v >= 1, ">= 1"),
+    "threshold_mode": (lambda v: v in THRESHOLD_MODES, f"one of {THRESHOLD_MODES}"),
+    "sor_fallback_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "sor_keep": (lambda v: v in KEEP_MODES, f"one of {KEEP_MODES}"),
+    "omrp_k": (lambda v: v >= 1, ">= 1"),
+    "jaya_pop": (lambda v: v >= 2, ">= 2"),
+    "jaya_iters": (lambda v: v >= 1, ">= 1"),
+    "noise_remove_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "or_knn_k": (lambda v: v >= 1, ">= 1"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     data_path: str | None = None
@@ -33,21 +53,16 @@ class RunConfig:
     pool: tuple | None = None             # ((kind, {params}), ...); None = default pool
 
     def __post_init__(self):
-        # Checked up front: out of range, a value would abort every fold as if
-        # the data were degenerate (or, for repeats, run none).
-        rules = (
-            ("folds", self.folds >= 2, ">= 2"),
-            ("repeats", self.repeats >= 1, ">= 1"),
-            ("threshold_mode", self.threshold_mode in THRESHOLD_MODES, f"one of {THRESHOLD_MODES}"),
-            ("sor_fallback_fraction", 0.0 < self.sor_fallback_fraction <= 1.0, "in (0, 1]"),
-            ("sor_keep", self.sor_keep in KEEP_MODES, f"one of {KEEP_MODES}"),
-            ("omrp_k", self.omrp_k >= 1, ">= 1"),
-            ("jaya_pop", self.jaya_pop >= 2, ">= 2"),
-            ("jaya_iters", self.jaya_iters >= 1, ">= 1"),
-            ("noise_remove_fraction", 0.0 <= self.noise_remove_fraction <= 1.0, "in [0, 1]"),
-            ("or_knn_k", self.or_knn_k >= 1, ">= 1"),
-        )
-        bad = [f"{name}={getattr(self, name)!r} (must be {rule})" for name, ok, rule in rules if not ok]
+        # Checked up front: of the wrong type or out of range, a value would
+        # abort every fold as if the data were degenerate (or, for repeats,
+        # run none), or pass through into the report unnoticed.
+        bad = []
+        for f in fields(self):
+            value, accepted = getattr(self, f.name), _ACCEPTED_TYPES[f.type]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+                bad.append(f"{f.name}={value!r} (must be of type {f.type})")
+            elif f.name in _RANGES and not _RANGES[f.name][0](value):
+                bad.append(f"{f.name}={value!r} (must be {_RANGES[f.name][1]})")
         if bad:
             raise ValueError("invalid config: " + "; ".join(bad))
 

@@ -91,25 +91,21 @@ def partition_regions(ds: Dataset, config: RunConfig) -> region.RegionAssignment
     return region.partition(post, thresholds, ds.labels)
 
 
-def clean(ds: Dataset, assignment: region.RegionAssignment,
-          config: RunConfig) -> dict[int, np.ndarray]:
-    """Per-class base sample sets: core, the selected non-overlapping and the surviving noisy."""
+def clean(ds: Dataset, assignment: region.RegionAssignment, config: RunConfig) -> np.ndarray:
+    """Row mask of the kept samples: core, the selected non-overlapping and the surviving noisy."""
     nonoverlap = overlap.sor_all(ds, assignment, z_threshold=config.z_threshold,
                                  fallback_fraction=config.sor_fallback_fraction,
                                  keep_mode=config.sor_keep)
-    return resample.base_sample_sets(ds, assignment, nonoverlap,
-                                     noise_remove_fraction=config.noise_remove_fraction)
+    keep = assignment.tags != region.OVERLAPPING
+    keep[region.noise_subset(assignment, config.noise_remove_fraction)] = False
+    keep[nonoverlap] = True
+    return keep
 
 
-def kept_indices(base_sets: dict[int, np.ndarray]) -> np.ndarray:
-    """Sorted indices of every sample the cleaning kept."""
-    return np.sort(np.concatenate(list(base_sets.values())))
-
-
-def balance(ds: Dataset, base_sets: dict[int, np.ndarray], config: RunConfig,
+def balance(ds: Dataset, keep: np.ndarray, config: RunConfig,
             rng_factory) -> resample.BalanceResult:
-    """Top every class up to the largest base set; ``rng_factory(c)`` seeds class ``c``."""
-    return resample.build_balanced(ds, base_sets, knn_k=config.omrp_k,
+    """Top every class's kept rows up to the largest class's; ``rng_factory(c)`` seeds class ``c``."""
+    return resample.build_balanced(ds, keep, knn_k=config.omrp_k,
                                    max_attempts_factor=config.omrp_max_attempts_factor,
                                    rng_factory=rng_factory)
 
@@ -131,20 +127,20 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     result.timings["partition"] = clock() - t0
 
     t0 = clock()
-    base_sets = clean(train_ds, assignment, config)
+    keep = clean(train_ds, assignment, config)
     result.timings["clean"] = clock() - t0
 
     t0 = clock()
     if train_ds.n_samples >= config.or_knn_k + 1:
         result.or_before = metrics.overlap_ratios(train_ds, knn_k=config.or_knn_k).or_dataset
-    cleaned = train_ds.subset(kept_indices(base_sets))  # raises if cleaning emptied a class
+    cleaned = train_ds.subset(np.flatnonzero(keep))  # raises if cleaning emptied a class
     if cleaned.n_samples >= config.or_knn_k + 1:
         result.or_after = metrics.overlap_ratios(cleaned, knn_k=config.or_knn_k).or_dataset
     result.timings["overlap_ratio"] = clock() - t0
 
     t0 = clock()
     if config.use_balancing:
-        balanced = balance(train_ds, base_sets, config,
+        balanced = balance(train_ds, keep, config,
                            lambda c: rng_for(seed, "omrp", repeat, fold, c)).dataset
         data_x, data_y = balanced.features, balanced.labels
     else:

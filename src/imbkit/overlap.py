@@ -98,13 +98,12 @@ def select_non_overlapping(profile: GapProfile, fallback_fraction: float = 0.30,
 
 
 def sor_all(ds: Dataset, assignment: RegionAssignment, z_threshold: float = 2.0,
-            fallback_fraction: float = 0.30, keep_mode: str = "after") -> dict[int, np.ndarray]:
-    """Non-overlapping sample indices per class; empty overlap regions yield empty sets."""
-    out: dict[int, np.ndarray] = {}
-    for c in range(ds.n_classes):
-        if assignment.indices(OVERLAPPING, c).size == 0:
-            out[c] = np.empty(0, dtype=np.int64)
-            continue
-        profile = gap_profile(ds, assignment, c, z_threshold=z_threshold)
-        out[c] = select_non_overlapping(profile, fallback_fraction=fallback_fraction, keep_mode=keep_mode)
-    return out
+            fallback_fraction: float = 0.30, keep_mode: str = "after") -> np.ndarray:
+    """Sorted indices of the overlap samples kept as non-overlapping, over all classes.
+
+    A class with an empty overlap region contributes nothing.
+    """
+    kept = [select_non_overlapping(gap_profile(ds, assignment, c, z_threshold=z_threshold),
+                                   fallback_fraction=fallback_fraction, keep_mode=keep_mode)
+            for c in range(ds.n_classes) if assignment.indices(OVERLAPPING, c).size]
+    return np.sort(np.concatenate(kept)) if kept else np.empty(0, dtype=np.int64)

@@ -16,19 +16,11 @@ import numpy as np
 
 from .data_model import Dataset, PipelineWarning
 from .distances import min_dist, nearest, pairwise_sq
-from .region import CORE, NOISY, RegionAssignment, noise_subset
 
 MIN_ATTEMPT_CAP = 500
 
 
-@dataclass(frozen=True)
-class BalancePlan:
-    base_counts: np.ndarray   # per class: size of its base (kept) sample set
-    k_remaining: np.ndarray   # per class: synthetic samples needed to match the max class
-    max_class: int
-
-
-def balance_plan(class_base_counts, class_names=None) -> BalancePlan:
+def balance_plan(class_base_counts, class_names=None) -> np.ndarray:
     """Synthetic-sample quota per class: max base count minus own base count."""
     counts = np.asarray(class_base_counts, dtype=np.int64)
     if counts.size < 2:
@@ -37,8 +29,7 @@ def balance_plan(class_base_counts, class_names=None) -> BalancePlan:
         c = int(np.flatnonzero(counts < 1)[0])
         name = class_names[c] if class_names else str(c)
         raise ValueError(f"class {name!r} has an empty base sample set; cannot balance")
-    return BalancePlan(base_counts=counts, k_remaining=counts.max() - counts,
-                       max_class=int(counts.argmax()))
+    return counts.max() - counts
 
 
 @dataclass
@@ -139,61 +130,36 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
 @dataclass
 class BalanceResult:
     dataset: Dataset
-    provenance: np.ndarray          # per output row: "original" | "synthetic"
     source_indices: np.ndarray      # original dataset index, -1 for synthetic rows
     batches: dict[int, SyntheticBatch]
-    plan: BalancePlan
-    base_sets: dict[int, np.ndarray]
 
 
-def base_sample_sets(ds: Dataset, assignment: RegionAssignment,
-                     nonoverlap_sets: dict[int, np.ndarray],
-                     noise_remove_fraction: float = 1.0) -> dict[int, np.ndarray]:
-    """Per-class kept indices: core, selected non-overlapping, and surviving noisy samples."""
-    removed = noise_subset(assignment, noise_remove_fraction)
-    out = {}
-    for c in range(ds.n_classes):
-        core = assignment.indices(CORE, c)
-        noisy_kept = np.setdiff1d(assignment.indices(NOISY, c), removed, assume_unique=True)
-        keep = np.concatenate([core, nonoverlap_sets.get(c, np.empty(0, dtype=np.int64)),
-                               noisy_kept])
-        out[c] = np.sort(keep.astype(np.int64))
-    return out
+def build_balanced(ds: Dataset, keep: np.ndarray, *, knn_k: int = 5,
+                   max_attempts_factor: int = 50, rng_factory) -> BalanceResult:
+    """Assemble the balanced dataset from the rows ``keep`` marks plus synthetic batches.
 
-
-def build_balanced(ds: Dataset, base_sets: dict[int, np.ndarray], *, knn_k: int = 5,
-                   max_attempts_factor: int = 50, rng_factory=None) -> BalanceResult:
-    """Assemble the balanced dataset from per-class base sets plus synthetic batches.
-
-    ``rng_factory(class_id)`` supplies one independent random stream per class
-    so per-class generation order cannot change results.
+    Each class's kept rows are its base set.  ``rng_factory(class_id)``
+    supplies one independent random stream per class so per-class generation
+    order cannot change results.
     """
     n = ds.n_classes
-    counts = np.array([base_sets[c].size for c in range(n)], dtype=np.int64)
-    plan = balance_plan(counts, class_names=ds.class_names)
-    if rng_factory is None:
-        rng_factory = lambda c: np.random.default_rng(c)
+    base_sets = [np.flatnonzero(keep & (ds.labels == c)) for c in range(n)]
+    k_remaining = balance_plan([idx.size for idx in base_sets], class_names=ds.class_names)
 
-    feats, labels, prov, src = [], [], [], []
+    feats, labels, src = [], [], []
     batches = {}
-    for c in range(n):
-        idx = base_sets[c]
+    for c, idx in enumerate(base_sets):
         feats.append(ds.features[idx])
         labels.append(np.full(idx.size, c, dtype=np.int64))
-        prov.extend(["original"] * idx.size)
         src.append(idx)
         other_idx = np.concatenate([base_sets[k] for k in range(n) if k != c])
-        batch = omrp(ds.features[idx], ds.features[other_idx], int(plan.k_remaining[c]),
+        batch = omrp(ds.features[idx], ds.features[other_idx], int(k_remaining[c]),
                      knn_k=knn_k, rng=rng_factory(c), class_id=c,
                      max_attempts_factor=max_attempts_factor)
         batches[c] = batch
         if batch.samples.size:
             feats.append(batch.samples)
             labels.append(np.full(batch.samples.shape[0], c, dtype=np.int64))
-            prov.extend(["synthetic"] * batch.samples.shape[0])
             src.append(np.full(batch.samples.shape[0], -1, dtype=np.int64))
     out = Dataset(np.vstack(feats), np.concatenate(labels), ds.class_names)
-    return BalanceResult(dataset=out, provenance=np.asarray(prov),
-                         source_indices=np.concatenate(src), batches=batches,
-                         plan=plan, base_sets=base_sets)
-
+    return BalanceResult(dataset=out, source_indices=np.concatenate(src), batches=batches)

@@ -20,8 +20,8 @@ import pytest
 from imbkit.config import RunConfig
 from imbkit.data_model import Dataset, load_csv, rng_for
 from imbkit.distances import min_dist
-from imbkit.harness import (ablate_components, ablate_noise, clean, emit_report, kept_indices,
-                            partition_regions, run_cv)
+from imbkit.harness import (ablate_components, ablate_noise, clean, emit_report, partition_regions,
+                            run_cv)
 from imbkit import learners, metrics, overlap, posterior, pruning, region, resample
 from tests.conftest import imbalance_ratio, make_blobs
 from tests.test_posterior import direct_posterior_oracle
@@ -109,7 +109,7 @@ def test_04_overlap_ratio_direction(data_dir):
             missing.append(name)
             continue
         ds = load_csv(path, "class")
-        kept = kept_indices(clean(ds, partition_regions(ds, cfg), cfg))
+        kept = np.flatnonzero(clean(ds, partition_regions(ds, cfg), cfg))
         before = metrics.overlap_ratios(ds, 5).or_dataset
         after = metrics.overlap_ratios(ds.subset(kept), 5).or_dataset
         outcomes.append((name, before, after, after < before))
@@ -134,16 +134,17 @@ def test_05_balancing_exactness(data_dir, separable_ds, overlapping_imbalanced_d
     cfg = RunConfig()
     checked = rechecked = 0
     for name, ds in cases:
-        base = clean(ds, partition_regions(ds, cfg), cfg)
-        result = resample.build_balanced(ds, base, rng_factory=lambda c: rng_for(0, "omrp", c))
+        keep = clean(ds, partition_regions(ds, cfg), cfg)
+        base = [np.flatnonzero(keep & (ds.labels == c)) for c in range(ds.n_classes)]
+        result = resample.build_balanced(ds, keep, rng_factory=lambda c: rng_for(0, "omrp", c))
         counts = result.dataset.class_counts()
         assert len(set(counts.tolist())) == 1, f"{name}: unequal counts {counts}"
-        assert counts[0] == max(v.size for v in base.values()), name
+        assert counts[0] == max(v.size for v in base), name
         for c, batch in result.batches.items():
             if not len(batch.samples):
                 continue
             own = ds.features[base[c]]
-            other = ds.features[np.concatenate([base[k] for k in base if k != c])]
+            other = ds.features[np.concatenate([base[k] for k in range(len(base)) if k != c])]
             good = np.sum(min_dist(batch.samples, own) <= min_dist(batch.samples, other))
             assert good == len(batch.samples), f"{name} class {c}: {good}/{len(batch.samples)}"
             rechecked += len(batch.samples)

@@ -2,10 +2,13 @@ import csv
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from imbkit.cli import _build_config, build_parser, main
 from imbkit.config import RunConfig
+from imbkit.data_model import load_csv
+from imbkit.harness import clean, partition_regions
 from tests.conftest import make_blobs
 
 
@@ -57,6 +60,9 @@ class TestBalanceCommand:
         assert rc == 0
         rows = list(csv.DictReader(open(out)))
         assert set(r["provenance"] for r in rows) <= {"original", "synthetic"}
+        ds = load_csv(dataset_csv, "class")
+        n_kept = np.flatnonzero(clean(ds, partition_regions(ds, RunConfig()), RunConfig())).size
+        assert sum(r["provenance"] == "original" for r in rows) == n_kept
         counts = {}
         for r in rows:
             counts[r["class"]] = counts.get(r["class"], 0) + 1
@@ -88,6 +94,13 @@ class TestRunCommand:
                    "--out", str(out), "--format", "csv", *FAST_FLAGS])
         assert rc == 0
         assert out.read_text().startswith("repeat,fold,metric,value")
+
+    def test_csv_format_default_path(self, dataset_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", "--data", str(dataset_csv), "--format", "csv", *FAST_FLAGS])
+        assert rc == 0
+        assert (tmp_path / "report.csv").read_text().startswith("repeat,fold,metric,value")
+        assert not (tmp_path / "report.json").exists()
 
     def test_flags_override_config_file(self, dataset_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -177,6 +190,35 @@ class TestOutOfRangeConfig:
             assert main(argv) == 2, argv
             assert name in capsys.readouterr().err, argv
             assert not out.exists()  # failed before any fold ran
+
+
+# A wrong-typed value for fields of each type; no value is coerced to the field's type.
+WRONG_TYPE = [("scale", "no"), ("use_pruning", 0), ("seed", True), ("folds", "3"), ("folds", 2.5),
+              ("jaya_iters", 3.0), ("z_threshold", "2"), ("noise_remove_fraction", None),
+              ("threshold_mode", 1), ("label_column", 1.5), ("data_path", 3)]
+
+
+class TestWrongTypedConfig:
+    @pytest.mark.parametrize("name,value", WRONG_TYPE)
+    def test_config_file_exits_2_naming_the_field(self, name, value, dataset_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_path": str(dataset_csv), "folds": 3, "repeats": 1,
+                                   "jaya_pop": 6, "jaya_iters": 4, name: value}))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "must be of type" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,text", [("--folds", "2.5"), ("--jaya-iters", "3.0"),
+                                           ("--seed", "true"), ("--z-threshold", "two")])
+    def test_flag_rejected_by_argparse(self, flag, text, dataset_csv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--data", str(dataset_csv), *FAST_FLAGS, flag, text, "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblateCommands:

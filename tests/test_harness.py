@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,12 +6,50 @@ import pytest
 
 from imbkit import harness
 from imbkit.config import RunConfig, config_from_dict, load_config_file, merge_config
-from imbkit.data_model import Dataset, stratified_folds
-from imbkit.harness import (ExperimentReport, FoldResult, ablate_components, ablate_noise,
-                            emit_report, report_csv_rows, run_cv)
+from imbkit.data_model import Dataset, load_csv, stratified_folds
+from imbkit.harness import (ExperimentReport, FoldResult, ablate_components, ablate_noise, clean,
+                            emit_report, partition_regions, report_csv_rows, run_cv)
+from imbkit.overlap import gap_profile, select_non_overlapping
+from imbkit.region import CORE, NOISY, OVERLAPPING, noise_subset
 from tests.conftest import make_blobs
 
 FAST = dict(folds=3, repeats=2, jaya_pop=6, jaya_iters=5)
+
+BUNDLED = ("new-thyroid", "balance", "contraceptive", "vehicle", "winequality-red")
+
+
+def clean_reference(ds, assignment, config):
+    """Sorted kept indices, gathered class by class into per-class base sets first.
+
+    Each class keeps its core samples, the overlap samples its gap profile
+    selects, and its noisy samples outside the removed subset.
+    """
+    removed = noise_subset(assignment, config.noise_remove_fraction)
+    base_sets = {}
+    for c in range(ds.n_classes):
+        nonoverlap = np.empty(0, dtype=np.int64)
+        if assignment.indices(OVERLAPPING, c).size:
+            profile = gap_profile(ds, assignment, c, z_threshold=config.z_threshold)
+            nonoverlap = select_non_overlapping(profile, config.sor_fallback_fraction, config.sor_keep)
+        noisy_kept = np.setdiff1d(assignment.indices(NOISY, c), removed, assume_unique=True)
+        base_sets[c] = np.sort(np.concatenate([assignment.indices(CORE, c), nonoverlap,
+                                               noisy_kept]).astype(np.int64))
+    return np.sort(np.concatenate(list(base_sets.values())))
+
+
+class TestCleanMask:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_equals_per_class_reference(self, name, data_dir):
+        ds = load_csv(data_dir / f"{name}.csv", "class")
+        for mode in ("midpoint", "mean"):
+            assignment = partition_regions(ds, RunConfig(threshold_mode=mode))
+            for keep_mode, fraction in itertools.product(("after", "before"), (0.0, 0.5, 1.0)):
+                cfg = RunConfig(threshold_mode=mode, sor_keep=keep_mode,
+                                noise_remove_fraction=fraction)
+                keep = clean(ds, assignment, cfg)
+                assert keep.dtype == bool and keep.shape == (ds.n_samples,)
+                assert np.array_equal(np.flatnonzero(keep), clean_reference(ds, assignment, cfg)), \
+                    (mode, keep_mode, fraction)
 
 
 class TestRunCv:
@@ -231,6 +270,18 @@ class TestConfig:
             RunConfig(folds=1, omrp_k=0, sor_keep="middle")
         assert all(name in str(err.value) for name in ("folds", "omrp_k", "sor_keep"))
         assert "seed" not in str(err.value)
+
+    def test_wrong_types_named_in_one_error(self):
+        with pytest.raises(ValueError) as err:
+            RunConfig(folds="3", seed=True, scale="no", jaya_iters=3.0, pool=[("knn", {})],
+                      label_column=None, repeats=0)
+        for name in ("folds", "seed", "scale", "jaya_iters", "pool", "label_column", "repeats"):
+            assert name in str(err.value), name
+        assert "omrp_k" not in str(err.value)
+
+    def test_int_accepted_for_float_fields_uncoerced(self):
+        cfg = RunConfig(z_threshold=2, noise_remove_fraction=1)
+        assert cfg.to_dict()["z_threshold"] == 2 and type(cfg.z_threshold) is int
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

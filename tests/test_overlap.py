@@ -164,7 +164,7 @@ class TestSorAll:
     def test_all_core_yields_empty_sets(self, separable_ds):
         assign = make_assignment([CORE] * separable_ds.n_samples, separable_ds.labels)
         out = sor_all(separable_ds, assign)
-        assert all(v.size == 0 for v in out.values())
+        assert out.size == 0 and out.dtype == np.int64
 
     def test_engineered_outliers_survive(self):
         # each class: 9 crowded overlap samples near the border plus 1 far outlier
@@ -177,20 +177,18 @@ class TestSorAll:
         ds = Dataset(feats, labels, ("a", "b"))
         assign = make_assignment(tags, labels)
         out = sor_all(ds, assign, keep_mode="after")
-        assert out[0].tolist() == [12]   # the sample at 30
-        assert out[1].tolist() == [25]   # the sample at -28
+        assert out.tolist() == [12, 25]   # the samples at 30 (class 0) and -28 (class 1)
 
     def test_deterministic(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
         assign = partition_regions(ds, RunConfig())
         a = sor_all(ds, assign)
         b = sor_all(ds, assign)
-        assert all(np.array_equal(a[c], b[c]) for c in a)
+        assert a.dtype == np.int64 and np.array_equal(a, b)
 
     def test_selection_subset_of_overlap_region(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
         assign = partition_regions(ds, RunConfig())
         out = sor_all(ds, assign)
-        for c, kept in out.items():
-            overlap_c = set(assign.indices(OVERLAPPING, c).tolist())
-            assert set(kept.tolist()) <= overlap_c
+        assert out.size and np.array_equal(out, np.unique(out))  # sorted, no repeats
+        assert set(out.tolist()) <= set(assign.indices(OVERLAPPING).tolist())

@@ -9,9 +9,8 @@ from imbkit.config import RunConfig
 from imbkit.data_model import Dataset, PipelineWarning, rng_for
 from imbkit.distances import min_dist
 from imbkit.harness import balance, clean, partition_regions
-from imbkit.overlap import sor_all
 from imbkit import resample
-from imbkit.resample import BalancePlan, balance_plan, base_sample_sets, build_balanced, omrp
+from imbkit.resample import balance_plan, build_balanced, omrp
 from tests.conftest import make_blobs
 
 
@@ -72,15 +71,13 @@ def omrp_reference(class_data, others, needed, knn_k, rng, max_attempts_factor):
 
 class TestBalancePlan:
     def test_subtraction(self):
-        plan = balance_plan([50, 30, 20])
-        assert plan.k_remaining.tolist() == [0, 20, 30]
-        assert plan.max_class == 0
+        assert balance_plan([50, 30, 20]).tolist() == [0, 20, 30]
 
     def test_all_equal(self):
-        assert balance_plan([10, 10, 10]).k_remaining.tolist() == [0, 0, 0]
+        assert balance_plan([10, 10, 10]).tolist() == [0, 0, 0]
 
     def test_extreme_ratio(self):
-        assert balance_plan([1, 100]).k_remaining.tolist() == [99, 0]
+        assert balance_plan([1, 100]).tolist() == [99, 0]
 
     def test_empty_class_named(self):
         with pytest.raises(ValueError, match="'tiny'"):
@@ -207,68 +204,66 @@ class TestOmrp:
         assert got[4:] == want[4:]
 
 
-def cleaned_pipeline(ds):
-    assign = partition_regions(ds, RunConfig())
-    return assign, sor_all(ds, assign)
+def cleaned_pipeline(ds, **overrides):
+    """The cleaning's row mask under ``RunConfig(**overrides)``, and each class's kept indices."""
+    cfg = RunConfig(**overrides)
+    keep = clean(ds, partition_regions(ds, cfg), cfg)
+    return keep, [np.flatnonzero(keep & (ds.labels == c)) for c in range(ds.n_classes)]
 
 
 class TestBalancedDataset:
     def test_counts_equal_max_base(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
-        assign, nonov = cleaned_pipeline(ds)
-        base = base_sample_sets(ds, assign, nonov)
-        result = build_balanced(ds, base, rng_factory=lambda c: rng_for(0, "omrp", c))
+        keep, base = cleaned_pipeline(ds)
+        result = build_balanced(ds, keep, rng_factory=lambda c: rng_for(0, "omrp", c))
         counts = result.dataset.class_counts()
         assert len(set(counts.tolist())) == 1
         assert counts[0] == max(len(base[c]) for c in range(ds.n_classes))
 
     def test_synthetics_pass_independent_recheck(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
-        assign, nonov = cleaned_pipeline(ds)
-        base = base_sample_sets(ds, assign, nonov)
-        result = build_balanced(ds, base, rng_factory=lambda c: rng_for(0, "omrp", c))
+        keep, base = cleaned_pipeline(ds)
+        result = build_balanced(ds, keep, rng_factory=lambda c: rng_for(0, "omrp", c))
         for c, batch in result.batches.items():
             if batch.shortfall:
                 continue
             own = ds.features[base[c]]
-            other = ds.features[np.concatenate([base[k] for k in base if k != c])]
+            other = ds.features[np.concatenate([base[k] for k in range(len(base)) if k != c])]
             for x in batch.samples:
                 assert penalty_accept(x, own, other)
 
     def test_already_balanced_separable_is_identity(self, separable_ds):
         ds = separable_ds
-        assign, nonov = cleaned_pipeline(ds)
-        out = build_balanced(ds, base_sample_sets(ds, assign, nonov)).dataset
+        keep, _ = cleaned_pipeline(ds)
+        out = build_balanced(ds, keep, rng_factory=np.random.default_rng).dataset
         # separable and balanced: base sets are the full classes, no synthetics
         assert out.n_samples == ds.n_samples
         assert np.array_equal(np.sort(out.class_counts()), np.sort(ds.class_counts()))
 
     def test_provenance_column(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
-        assign, nonov = cleaned_pipeline(ds)
-        base = base_sample_sets(ds, assign, nonov)
-        result = build_balanced(ds, base, rng_factory=lambda c: rng_for(0, "omrp", c))
-        n_orig = sum(len(v) for v in base.values())
-        assert np.sum(result.provenance == "original") == n_orig
-        assert np.sum(result.provenance == "synthetic") == result.dataset.n_samples - n_orig
-        assert np.all(result.source_indices[result.provenance == "synthetic"] == -1)
+        keep, base = cleaned_pipeline(ds)
+        result = build_balanced(ds, keep, rng_factory=lambda c: rng_for(0, "omrp", c))
+        src = result.source_indices
+        n_orig = sum(len(v) for v in base)
+        assert np.sum(src >= 0) == n_orig
+        assert np.sum(src == -1) == result.dataset.n_samples - n_orig
+        assert np.array_equal(np.sort(src[src >= 0]), np.flatnonzero(keep))
 
     def test_noise_fraction_keeps_samples(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
-        assign, nonov = cleaned_pipeline(ds)
-        keep_all = base_sample_sets(ds, assign, nonov, noise_remove_fraction=0.0)
-        drop_all = base_sample_sets(ds, assign, nonov, noise_remove_fraction=1.0)
-        n_keep = sum(v.size for v in keep_all.values())
-        n_drop = sum(v.size for v in drop_all.values())
-        n_noisy = int(np.sum(assign.tags == 2))
+        keep_all, _ = cleaned_pipeline(ds, noise_remove_fraction=0.0)
+        drop_all, _ = cleaned_pipeline(ds, noise_remove_fraction=1.0)
+        n_keep = int(keep_all.sum())
+        n_drop = int(drop_all.sum())
+        n_noisy = int(np.sum(partition_regions(ds, RunConfig()).tags == 2))
         assert n_keep - n_drop == n_noisy
 
     def test_determinism_bytes(self, overlapping_imbalanced_ds):
         ds = overlapping_imbalanced_ds
-        assign, nonov = cleaned_pipeline(ds)
-        base = base_sample_sets(ds, assign, nonov)
-        a = build_balanced(ds, base, rng_factory=lambda c: rng_for(7, "omrp", c)).dataset
-        b = build_balanced(ds, base, rng_factory=lambda c: rng_for(7, "omrp", c)).dataset
+        keep, _ = cleaned_pipeline(ds)
+        a = build_balanced(ds, keep, rng_factory=lambda c: rng_for(7, "omrp", c)).dataset
+        b = build_balanced(ds, keep, rng_factory=lambda c: rng_for(7, "omrp", c)).dataset
         assert a.features.tobytes() == b.features.tobytes()
         assert np.array_equal(a.labels, b.labels)
 
