@@ -16,6 +16,7 @@ import contextlib
 import csv
 import json
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -155,9 +156,7 @@ def _emit_sweep(args, outputs) -> int:
 
 
 def cmd_ablate_noise(args) -> int:
-    cfg = _build_config(args)
-    fractions = tuple(float(x) for x in args.fractions.split(","))
-    reports = harness.ablate_noise(cfg, fractions)
+    reports = harness.ablate_noise(_build_config(args), args.fractions)
     return _emit_sweep(args, [(f"noise_{frac:g}", f"-- noise fraction {frac:g}", rep)
                               for frac, rep in reports.items()])
 
@@ -168,6 +167,14 @@ def cmd_ablate_components(args) -> int:
     return _emit_sweep(args, [(name, f"-- variant {name} (balancing={rep.config.use_balancing}, "
                                      f"pruning={rep.config.use_pruning})", rep)
                               for name, rep in reports.items()])
+
+
+def _fractions(text: str) -> tuple:
+    """The ``--fractions`` value: comma-separated numbers, as a tuple of floats."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def cmd_report(args) -> int:
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("ablate-noise", cmd_ablate_noise, "re-run CV at several noise-removal fractions")
-    p.add_argument("--fractions", default="0,0.25,0.5,0.75,1.0")
+    p.add_argument("--fractions", type=_fractions, default=harness.DEFAULT_NOISE_FRACTIONS)
     p.add_argument("--out-dir", default="ablation_noise")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -227,11 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # Python's own warning display comes back on return
+        warnings.showwarning = lambda message, category, *_: print(
+            f"warning: {category.__name__}: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

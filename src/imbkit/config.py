@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .learners import POOL_KINDS
 from .overlap import KEEP_MODES
 from .region import THRESHOLD_MODES
 
@@ -27,6 +28,10 @@ _RANGES = {
     "jaya_iters": (lambda v: v >= 1, ">= 1"),
     "noise_remove_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "or_knn_k": (lambda v: v >= 1, ">= 1"),
+    "pool": (lambda v: v is None or len(v) > 0 and all(
+        isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) and e[0] in POOL_KINDS
+        and isinstance(e[1], dict) for e in v),
+        f"None or a non-empty tuple of (kind, params dict) pairs, kind one of {tuple(POOL_KINDS)}"),
 }
 
 
@@ -75,21 +80,16 @@ class RunConfig:
             out[f.name] = v
         return out
 
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
-
 
 def _normalize_pool(raw):
-    if raw is None:
-        return None
-    spec = []
-    for entry in raw:
-        if isinstance(entry, dict):
-            spec.append((entry["kind"], dict(entry.get("params", {}))))
-        else:
-            kind, params = entry
-            spec.append((kind, dict(params)))
-    return tuple(spec)
+    """Pool entries given as {"kind", "params"} objects or [kind, params] pairs, as pairs.
+
+    Anything else passes through unchanged, for RunConfig to reject by the field's name.
+    """
+    if not isinstance(raw, (list, tuple)):
+        return raw
+    return tuple((e.get("kind"), e.get("params", {})) if isinstance(e, dict)
+                 else tuple(e) if isinstance(e, list) else e for e in raw)
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -110,4 +110,4 @@ def load_config_file(path) -> RunConfig:
 
 def merge_config(base: RunConfig, overrides: dict) -> RunConfig:
     """Apply explicitly-set values (not None) on top of ``base``."""
-    return base.with_overrides(**{k: v for k, v in overrides.items() if v is not None})
+    return replace(base, **{k: v for k, v in overrides.items() if v is not None})

@@ -153,7 +153,6 @@ class FoldPlan:
     k: int
     repeats: int
     fold_ids: np.ndarray  # (repeats, samples) int32, read-only
-    master_seed: int
 
     def test_indices(self, repeat: int, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_ids[repeat] == fold)
@@ -206,7 +205,7 @@ def stratified_folds(ds: Dataset, k: int, repeats: int, seed: int) -> FoldPlan:
             rng.shuffle(idx)
             offset = int(rng.integers(k))  # rotate so early folds are not systematically larger
             fold_ids[r, idx] = (np.arange(idx.size) + offset) % k
-    return FoldPlan(k=k, repeats=repeats, fold_ids=_freeze(fold_ids), master_seed=int(seed))
+    return FoldPlan(k=k, repeats=repeats, fold_ids=_freeze(fold_ids))
 
 
 def minmax_scale(ds: Dataset, *others: np.ndarray) -> tuple:

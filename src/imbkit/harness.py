@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import learners, metrics, overlap, posterior, pruning, region, resample
 from .config import RunConfig
-from .data_model import (Dataset, FoldPlan, PipelineWarning, load_csv, minmax_scale, rng_for,
-                         stratified_folds)
+from .data_model import Dataset, PipelineWarning, load_csv, minmax_scale, rng_for, stratified_folds
 
 METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "g_mean", "auc")
 FITNESS_HOLDOUT_FRACTION = 0.2
@@ -37,15 +36,6 @@ class FoldResult:
     or_before: float | None = None
     or_after: float | None = None
     timings: dict = field(default_factory=dict)
-    plan: FoldPlan | None = field(default=None, repr=False, compare=False)  # in-memory only
-
-    @property
-    def train_indices(self) -> np.ndarray | None:
-        return None if self.plan is None else self.plan.train_indices(self.repeat, self.fold)
-
-    @property
-    def test_indices(self) -> np.ndarray | None:
-        return None if self.plan is None else self.plan.test_indices(self.repeat, self.fold)
 
 
 @dataclass
@@ -86,7 +76,7 @@ def _split_for_fitness(labels: np.ndarray, rng: np.random.Generator):
 
 def partition_regions(ds: Dataset, config: RunConfig) -> region.RegionAssignment:
     """Tag every sample of ``ds`` core, overlapping or noisy from its naive-Bayes posteriors."""
-    post = posterior.posteriors(posterior.fit_nb(ds), ds)
+    post = posterior.posteriors(posterior.fit_nb(ds.features, ds.labels, ds.n_classes), ds.features)
     thresholds = region.class_thresholds(post, ds.labels, mode=config.threshold_mode)
     return region.partition(post, thresholds, ds.labels)
 
@@ -212,7 +202,6 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None) -> ExperimentRepor
                 except ValueError as exc:
                     result = FoldResult(repeat=r, fold=f, status="aborted",
                                         reason=f"{type(exc).__name__}: {exc}")
-                result.plan = plan
                 fold_results.append(result)
     caught = [f"{w.category.__name__}: {w.message}" for w in wrec]
 
@@ -241,7 +230,7 @@ def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
     Every variant's config is built, and so checked, before any variant runs.
     No variant overrides the fold settings, so all of them share one fold plan.
     """
-    configs = {key: config.with_overrides(**overrides) for key, overrides in variants.items()}
+    configs = {key: replace(config, **overrides) for key, overrides in variants.items()}
     if dataset is None:
         dataset = load_csv(config.data_path, config.label_column)
     return {key: run_cv(cfg, dataset) for key, cfg in configs.items()}

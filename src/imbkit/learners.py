@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import nearest, pairwise_sq
-from .posterior import fit_nb_arrays, log_joint
+from .posterior import fit_nb, log_joint
 
 
 class KNNClassifier:
@@ -38,8 +38,8 @@ class GaussianNBClassifier:
     """Maximum-posterior Gaussian naive Bayes, sharing the posterior module's math."""
 
     def fit(self, features, labels, n_classes):
-        self._model = fit_nb_arrays(np.asarray(features, dtype=np.float64),
-                                    np.asarray(labels, dtype=np.int64), int(n_classes))
+        self._model = fit_nb(np.asarray(features, dtype=np.float64),
+                             np.asarray(labels, dtype=np.int64), int(n_classes))
         self.n_classes = int(n_classes)
         return self
 
@@ -166,16 +166,16 @@ DEFAULT_POOL_SPEC = (
 )
 
 
+# The classifier each pool kind names; the randomized extra tree also takes its slot's seed.
+POOL_KINDS = {"knn": KNNClassifier, "gaussian_nb": GaussianNBClassifier,
+              "tree": GiniTreeClassifier, "extra_tree": ExtraTreeClassifier}
+
+
 def _make_classifier(kind: str, params: dict, seed: int):
-    if kind == "knn":
-        return KNNClassifier(**params)
-    if kind == "gaussian_nb":
-        return GaussianNBClassifier(**params)
-    if kind == "tree":
-        return GiniTreeClassifier(**params)
-    if kind == "extra_tree":
-        return ExtraTreeClassifier(seed=seed, **params)
-    raise ValueError(f"unknown classifier kind {kind!r}")
+    if kind not in POOL_KINDS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    seeded = {"seed": seed} if kind == "extra_tree" else {}
+    return POOL_KINDS[kind](**seeded, **params)
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,7 @@ class ClassifierPool:
     """Fixed-order list of trained classifiers; position is the pruning genome slot."""
 
     classifiers: tuple
-    kinds: tuple
     n_classes: int
-    n_features: int
 
     @property
     def size(self) -> int:
@@ -204,14 +202,12 @@ def train_pool(features, labels, n_classes: int, pool_spec=None, seed: int = 0) 
     if np.unique(y).size < 2:
         raise ValueError("pool training needs at least 2 classes present")
     spec = tuple(pool_spec) if pool_spec is not None else DEFAULT_POOL_SPEC
-    members, kinds = [], []
+    members = []
     for slot, (kind, params) in enumerate(spec):
         clf = _make_classifier(kind, dict(params), seed=(int(seed) * 1000003 + slot) & 0x7FFFFFFF)
         clf.fit(x, y, n_classes)
         members.append(clf)
-        kinds.append(kind)
-    return ClassifierPool(classifiers=tuple(members), kinds=tuple(kinds),
-                          n_classes=int(n_classes), n_features=x.shape[1])
+    return ClassifierPool(classifiers=tuple(members), n_classes=int(n_classes))
 
 
 def member_predictions(pool: ClassifierPool, features) -> np.ndarray:

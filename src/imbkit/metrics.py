@@ -115,7 +115,6 @@ class OverlapReport:
     or_class: np.ndarray    # per-class fraction of samples in cross-class neighborhoods
     or_pair: np.ndarray     # symmetric pairwise overlap matrix
     or_dataset: float       # mean of the per-class ratios
-    knn_k: int
 
 
 def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
@@ -149,5 +148,4 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
     rate = n_ov / counts[:, None]
     or_pair = 0.5 * (rate + rate.T)
     np.fill_diagonal(or_pair, 0.0)
-    return OverlapReport(or_class=or_class, or_pair=or_pair,
-                         or_dataset=float(or_class.mean()), knn_k=knn_k)
+    return OverlapReport(or_class=or_class, or_pair=or_pair, or_dataset=float(or_class.mean()))

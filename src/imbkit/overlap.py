@@ -23,7 +23,6 @@ KEEP_MODES = ("after", "before")
 
 @dataclass(frozen=True)
 class GapProfile:
-    class_id: int
     ordered_samples: np.ndarray  # dataset indices, ascending median distance
     distances: np.ndarray        # the corresponding medians
     gaps: np.ndarray             # consecutive differences, len = len(distances) - 1
@@ -31,7 +30,6 @@ class GapProfile:
     gap_std: float               # population convention
     z_scores: np.ndarray
     jump_index: int | None       # first gap with z >= z_threshold, if any
-    z_threshold: float
 
 
 def gap_statistics(sorted_distances: np.ndarray, z_threshold: float = 2.0):
@@ -70,9 +68,8 @@ def gap_profile(ds: Dataset, assignment: RegionAssignment, class_id: int,
     order = np.lexsort((own, med))
     ordered, dists = own[order], med[order]
     gaps, mu, sigma, z, jump = gap_statistics(dists, z_threshold)
-    return GapProfile(class_id=int(class_id), ordered_samples=ordered, distances=dists,
-                      gaps=gaps, gap_mean=mu, gap_std=sigma, z_scores=z,
-                      jump_index=jump, z_threshold=float(z_threshold))
+    return GapProfile(ordered_samples=ordered, distances=dists, gaps=gaps, gap_mean=mu,
+                      gap_std=sigma, z_scores=z, jump_index=jump)
 
 
 def select_non_overlapping(profile: GapProfile, fallback_fraction: float = 0.30,

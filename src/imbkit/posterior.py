@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
-
 VARIANCE_SMOOTHING_REL = 1e-9
 VARIANCE_SMOOTHING_FLOOR = 1e-12
 
@@ -46,7 +44,6 @@ class PosteriorMatrix:
     """Row-stochastic (m, n) matrix of class membership probabilities."""
 
     values: np.ndarray
-    model: NBModel | None = None
 
     def __post_init__(self):
         v = self.values
@@ -56,8 +53,8 @@ class PosteriorMatrix:
             raise ValueError("posterior rows must sum to 1 within 1e-9")
 
 
-def fit_nb_arrays(features: np.ndarray, labels: np.ndarray, n_classes: int) -> NBModel:
-    """Fit priors and per-class Gaussians from plain arrays.
+def fit_nb(features: np.ndarray, labels: np.ndarray, n_classes: int) -> NBModel:
+    """Fit priors and per-class Gaussians to the training rows ``features`` with class ``labels``.
 
     Variances use the population convention (divide by class count) and get a
     smoothing term of 1e-9 times the largest per-attribute variance of the
@@ -80,10 +77,6 @@ def fit_nb_arrays(features: np.ndarray, labels: np.ndarray, n_classes: int) -> N
     return NBModel(priors=priors, means=means, variances=variances + eps, smoothing=eps)
 
 
-def fit_nb(train: Dataset) -> NBModel:
-    return fit_nb_arrays(train.features, train.labels, train.n_classes)
-
-
 def log_joint(model: NBModel, features: np.ndarray) -> np.ndarray:
     """(m, n) matrix of log prior + sum of per-attribute log Gaussian densities."""
     if features.shape[1] != model.n_features:
@@ -99,14 +92,9 @@ def log_joint(model: NBModel, features: np.ndarray) -> np.ndarray:
     return out
 
 
-def posteriors_from_arrays(model: NBModel, features: np.ndarray) -> PosteriorMatrix:
+def posteriors(model: NBModel, features: np.ndarray) -> PosteriorMatrix:
+    """Membership probability matrix for every row of ``features``."""
     lj = log_joint(model, features)
     lj -= lj.max(axis=1, keepdims=True)
     dens = np.exp(lj)
-    vals = dens / dens.sum(axis=1, keepdims=True)
-    return PosteriorMatrix(values=vals, model=model)
-
-
-def posteriors(model: NBModel, ds: Dataset) -> PosteriorMatrix:
-    """Membership probability matrix for every sample of ``ds``."""
-    return posteriors_from_arrays(model, ds.features)
+    return PosteriorMatrix(values=dens / dens.sum(axis=1, keepdims=True))

@@ -33,11 +33,8 @@ from .metrics import classification_metrics
 
 @dataclass(frozen=True)
 class PrunedEnsemble:
-    pool: ClassifierPool
     mask: np.ndarray
     fitness: float
-    generations: int
-    selected_count: int
     history: tuple  # best fitness after each generation
 
 
@@ -72,8 +69,8 @@ def _mask_fitness(preds: np.ndarray, mask: np.ndarray, truth: np.ndarray, n_clas
     return classification_metrics(voted, truth, n_classes).macro_f1
 
 
-def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20,
-          t_max: int = 50, rng: np.random.Generator | None = None) -> PrunedEnsemble:
+def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20, t_max: int = 50, *,
+          rng: np.random.Generator) -> PrunedEnsemble:
     """Select the classifier subset with the best voted macro F-score on the fitness data."""
     if n_pop < 2:
         raise ValueError("population size must be >= 2")
@@ -83,8 +80,6 @@ def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20,
     fit_y = np.asarray(fit_labels, dtype=np.int64)
     if fit_x.shape[0] == 0:
         raise ValueError("fitness data must be non-empty")
-    if rng is None:
-        rng = np.random.default_rng()
 
     preds = member_predictions(pool, fit_x)
     memo = {}
@@ -113,5 +108,4 @@ def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20,
             history.append(float(fits.max()))
 
     mask = digitize(pop[np.argmax(fits)])
-    return PrunedEnsemble(pool=pool, mask=mask, fitness=float(fits.max()), generations=t_max,
-                          selected_count=int(mask.sum()), history=tuple(history))
+    return PrunedEnsemble(mask=mask, fitness=float(fits.max()), history=tuple(history))

@@ -26,7 +26,6 @@ class ClassThresholds:
     mean_own: np.ndarray   # per class: mean own-class posterior over its samples
     max_own: np.ndarray    # per class: max own-class posterior over its samples
     threshold: np.ndarray  # per class: the combined acceptance threshold
-    mode: str = "midpoint"
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,6 @@ class RegionAssignment:
 
     tags: np.ndarray               # (m,) values in {CORE, OVERLAPPING, NOISY}
     max_own_posterior: np.ndarray  # (m,) posterior mass for the sample's own class
-    thresholds: ClassThresholds
     labels: np.ndarray             # (m,) class of each sample
 
     def indices(self, tag: int, class_id: int | None = None) -> np.ndarray:
@@ -68,7 +66,7 @@ def class_thresholds(P: PosteriorMatrix, labels: np.ndarray, mode: str = "midpoi
         mean_own[c] = own.mean()
         max_own[c] = own.max()
     threshold = (mean_own + max_own) / 2.0 if mode == "midpoint" else mean_own.copy()
-    return ClassThresholds(mean_own=mean_own, max_own=max_own, threshold=threshold, mode=mode)
+    return ClassThresholds(mean_own=mean_own, max_own=max_own, threshold=threshold)
 
 
 def partition(P: PosteriorMatrix, T: ClassThresholds, labels: np.ndarray) -> RegionAssignment:
@@ -90,7 +88,7 @@ def partition(P: PosteriorMatrix, T: ClassThresholds, labels: np.ndarray) -> Reg
     tags = np.full(m, NOISY, dtype=np.int8)
     tags[core] = CORE
     tags[overlapping] = OVERLAPPING
-    return RegionAssignment(tags=tags, max_own_posterior=own, thresholds=T, labels=labels)
+    return RegionAssignment(tags=tags, max_own_posterior=own, labels=labels)
 
 
 def noise_subset(assignment: RegionAssignment, remove_fraction: float) -> np.ndarray:

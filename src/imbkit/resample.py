@@ -34,7 +34,6 @@ def balance_plan(class_base_counts, class_names=None) -> np.ndarray:
 
 @dataclass
 class SyntheticBatch:
-    class_id: int
     samples: np.ndarray        # (k, z) synthetic feature vectors
     parents: np.ndarray        # index into the class base set
     neighbors: np.ndarray      # index into the class base set
@@ -44,12 +43,6 @@ class SyntheticBatch:
     shortfall: int
 
 
-def _empty_batch(class_id: int, n_features: int) -> SyntheticBatch:
-    return SyntheticBatch(class_id=class_id, samples=np.empty((0, n_features)),
-                          parents=np.empty(0, dtype=np.int64), neighbors=np.empty(0, dtype=np.int64),
-                          alphas=np.empty(0), attempts_used=0, accepted_count=0, shortfall=0)
-
-
 def _neighbor_table(class_data: np.ndarray, knn_k: int) -> np.ndarray:
     """Per sample: its min(knn_k, n-1) nearest same-class neighbors, ties by index."""
     sq = pairwise_sq(class_data, class_data)
@@ -57,9 +50,8 @@ def _neighbor_table(class_data: np.ndarray, knn_k: int) -> np.ndarray:
     return nearest(sq, min(knn_k, class_data.shape[0] - 1))
 
 
-def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5,
-         rng: np.random.Generator | None = None, *, class_id: int = -1,
-         max_attempts_factor: int = 50) -> SyntheticBatch:
+def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5, *,
+         rng: np.random.Generator, class_id: int = -1, max_attempts_factor: int = 50) -> SyntheticBatch:
     """Generate ``needed`` penalty-checked synthetic samples for one class.
 
     Parents cycle round-robin through the class; each draws a uniform nearest
@@ -71,19 +63,16 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
     """
     class_data = np.asarray(class_data, dtype=np.float64)
     others = np.asarray(others, dtype=np.float64)
-    if rng is None:
-        rng = np.random.default_rng()
     if knn_k < 1:
         raise ValueError("knn_k must be >= 1")
     if needed < 0:
         raise ValueError("needed must be >= 0")
-    n, z = class_data.shape
-    if needed == 0:
-        return _empty_batch(class_id, z)
-    if n < 2:
-        warnings.warn(f"class {class_id}: single base sample, replicating it {needed}x "
-                      "(no neighbor to interpolate)", PipelineWarning, stacklevel=2)
-        return SyntheticBatch(class_id=class_id, samples=np.repeat(class_data, needed, axis=0),
+    n = class_data.shape[0]
+    if needed == 0 or n < 2:  # an empty batch, or the single sample replicated
+        if needed:
+            warnings.warn(f"class {class_id}: single base sample, replicating it {needed}x "
+                          "(no neighbor to interpolate)", PipelineWarning, stacklevel=2)
+        return SyntheticBatch(samples=np.repeat(class_data, needed, axis=0),
                               parents=np.zeros(needed, dtype=np.int64),
                               neighbors=np.zeros(needed, dtype=np.int64),
                               alphas=np.zeros(needed), attempts_used=needed,
@@ -122,9 +111,9 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
         rejected = np.flatnonzero(~ok)
         best = rejected[np.lexsort((rejected, -margins[rejected]))[:shortfall]]
         keep = np.concatenate([keep, best])
-    return SyntheticBatch(class_id=class_id, samples=cands[keep], parents=parents[keep],
-                          neighbors=neighbors[keep], alphas=alphas[keep], attempts_used=attempts,
-                          accepted_count=accepted, shortfall=shortfall)
+    return SyntheticBatch(samples=cands[keep], parents=parents[keep], neighbors=neighbors[keep],
+                          alphas=alphas[keep], attempts_used=attempts, accepted_count=accepted,
+                          shortfall=shortfall)
 
 
 @dataclass

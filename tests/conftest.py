@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from imbkit import harness
 from imbkit.data_model import Dataset
 
 # CI runs ``pytest --hypothesis-profile=ci``: the same examples on every run,
@@ -33,6 +34,23 @@ def imbalance_ratio(ds):
     """Largest class count over smallest class count; 1.0 when balanced."""
     counts = ds.class_counts()
     return float(counts.max()) / float(counts.min())
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """(config, repeat, fold, train indices, test indices) of each ``harness._run_fold`` call, in order.
+
+    These are the index arrays ``run_cv`` actually hands each fold.
+    """
+    calls = []
+    run_fold = harness._run_fold
+
+    def recording(ds, train_idx, test_idx, config, repeat, fold):
+        calls.append((config, repeat, fold, train_idx, test_idx))
+        return run_fold(ds, train_idx, test_idx, config, repeat, fold)
+
+    monkeypatch.setattr(harness, "_run_fold", recording)
+    return calls
 
 
 @pytest.fixture

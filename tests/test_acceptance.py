@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from imbkit.config import RunConfig
-from imbkit.data_model import Dataset, load_csv, rng_for
+from imbkit.data_model import load_csv, rng_for, stratified_folds
 from imbkit.distances import min_dist
 from imbkit.harness import (ablate_components, ablate_noise, clean, emit_report, partition_regions,
                             run_cv)
@@ -45,9 +45,8 @@ def test_01_posterior_oracle_equivalence():
         n = int(rng.integers(2, 4))
         labels = np.concatenate([np.arange(n), rng.integers(0, n, size=m - n)])[:m]
         feats = rng.normal(scale=2.5, size=(m, z))
-        ds = Dataset(feats, labels, tuple(f"c{i}" for i in range(n)))
-        model = posterior.fit_nb(ds)
-        post = posterior.posteriors(model, ds)
+        model = posterior.fit_nb(feats, labels, n)
+        post = posterior.posteriors(model, feats)
         worst = max(worst, float(np.abs(post.values - direct_posterior_oracle(model, feats)).max()))
         worst = max(worst, float(np.abs(post.values.sum(axis=1) - 1.0).max()))
     elapsed = time.perf_counter() - t0
@@ -201,11 +200,12 @@ PAPER_MIN_G_MEAN_GAIN = 0.3706
 def raw_pool_g_means(ds, rep):
     """Per completed fold of ``rep``: G-mean of the default pool trained on the raw
     training fold, every member voting, scored on the same raw test fold."""
+    plan = stratified_folds(ds, rep.config.folds, rep.config.repeats, rep.config.seed)
     out = []
     for fr in rep.folds:
         if fr.status != "ok":
             continue
-        train, test = fr.train_indices, fr.test_indices
+        train, test = plan.train_indices(fr.repeat, fr.fold), plan.test_indices(fr.repeat, fr.fold)
         seed = int(rng_for(rep.config.seed, "pool", fr.repeat, fr.fold).integers(2 ** 31))
         pool = learners.train_pool(ds.features[train], ds.labels[train], ds.n_classes, seed=seed)
         preds = learners.vote_from_predictions(learners.member_predictions(pool, ds.features[test]),
@@ -251,7 +251,7 @@ def test_07b_desk_scale_balance(data_dir):
          f"or partial={rep.partial}, or runtime {elapsed:.0f}s >= 300s")
 
 
-def test_08_noise_ablation_trend(data_dir):
+def test_08_noise_ablation_trend(data_dir, fold_calls):
     """Removing all noise-tagged samples should beat removing none on >= 2 of 3 datasets.
 
     Kept failing on purpose.  The cause is the noisy region, and the documents
@@ -280,13 +280,16 @@ def test_08_noise_ablation_trend(data_dir):
     improved, details = {}, []
     for name in names:
         ds = load_csv(data_dir / f"{name}.csv", "class")
+        fold_calls.clear()
         reps = ablate_noise(config, fractions=(0.0, 1.0), dataset=ds)
-        shared = all(np.array_equal(a.test_indices, b.test_indices)
-                     for a, b in zip(reps[0.0].folds, reps[1.0].folds))
+        keep_calls, drop_calls = ([c for c in fold_calls if c[0].noise_remove_fraction == f]
+                                  for f in (0.0, 1.0))
+        shared = len(keep_calls) == len(drop_calls) == config.folds * config.repeats and all(
+            a[1:3] == b[1:3] and np.array_equal(a[4], b[4]) for a, b in zip(keep_calls, drop_calls))
         assert shared, "fold plans must be shared across fractions"
         keep, drop = (reps[f].aggregate["f1"]["mean"] for f in (0.0, 1.0))
         improved[name] = drop > keep
-        assign = partition_regions(ds.subset(reps[0.0].folds[0].train_indices), config)
+        assign = partition_regions(ds.subset(keep_calls[0][3]), config)
         share = float(np.mean(assign.tags == region.NOISY))
         details.append(f"{name}: f1 {keep:.4f}->{drop:.4f} noisy={share:.0%}")
     wins = sum(improved.values())
@@ -297,14 +300,15 @@ def test_08_noise_ablation_trend(data_dir):
         f"noise removal improved macro-F1 on only {wins}/3 datasets: {summary}"
 
 
-def test_09_component_ablation_trend(overlapping_imbalanced_ds):
+def test_09_component_ablation_trend(overlapping_imbalanced_ds, fold_calls):
     """Full pipeline G-mean >= no-balancing variant on the IR>=10 overlap fixture."""
     assert imbalance_ratio(overlapping_imbalanced_ds) >= 10
     t0 = time.perf_counter()
     reps = ablate_components(RunConfig(seed=0, folds=5, repeats=2),
                              dataset=overlapping_imbalanced_ds)
-    tests = [r.folds[0].test_indices for r in reps.values()]
-    assert all(np.array_equal(tests[0], t) for t in tests), "variants must share folds"
+    tests = [test for _, r, f, _, test in fold_calls if (r, f) == (0, 0)]
+    assert len(tests) == len(reps) and all(np.array_equal(tests[0], t) for t in tests), \
+        "variants must share folds"
     full = reps["full"].aggregate["g_mean"]["mean"]
     nobal = reps["no_balancing"].aggregate["g_mean"]["mean"]
     elapsed = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from imbkit.cli import _build_config, build_parser, main
 from imbkit.config import RunConfig
 from imbkit.data_model import load_csv
-from imbkit.harness import clean, partition_regions
+from imbkit.harness import DEFAULT_NOISE_FRACTIONS, clean, partition_regions
 from tests.conftest import make_blobs
 
 
@@ -221,6 +222,39 @@ class TestWrongTypedConfig:
         assert not out.exists()
 
 
+# Malformed pools in a config file; each once exited 2 with a message naming no
+# field, or (an unknown kind) ran every fold into an abort.
+BAD_POOLS = {"string": "knn", "number": 3, "no_kind": [{"params": {}}],
+             "unknown_kind": [{"kind": "svm"}], "empty": []}
+
+
+class TestMalformedPool:
+    @pytest.mark.parametrize("case", BAD_POOLS)
+    def test_exits_2_naming_pool(self, case, dataset_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pool": BAD_POOLS[case]}))
+        out = tmp_path / "report.json"
+        rc = main(["run", "--data", str(dataset_csv), "--config", str(cfg), *FAST_FLAGS,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "pool=" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestWarningDisplay:
+    def test_pipeline_warning_is_one_line(self, data_dir, tmp_path, capsys):
+        shown = warnings.showwarning
+        rc = main(["balance", "--data", str(data_dir / "balance.csv"),
+                   "--out", str(tmp_path / "balanced.csv")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "warning: PipelineWarning: class 0: single base sample" in err
+        assert ".py:" not in err
+        assert all(line.startswith(("warning: ", "balanced class counts: "))
+                   for line in err.splitlines())
+        assert warnings.showwarning is shown  # Python's display is back once main returns
+
+
 class TestAblateCommands:
     def test_ablate_noise_emits_per_fraction(self, dataset_csv, tmp_path):
         outdir = tmp_path / "noise"
@@ -229,6 +263,21 @@ class TestAblateCommands:
         assert rc == 0
         assert (outdir / "noise_0.json").exists()
         assert (outdir / "noise_1.json").exists()
+
+    def test_fractions_default_is_the_harness_constant(self):
+        args = build_parser().parse_args(["ablate-noise", "--data", "x.csv"])
+        assert args.fractions == DEFAULT_NOISE_FRACTIONS
+        args = build_parser().parse_args(["ablate-noise", "--fractions", "0,0.25,0.5,0.75,1.0"])
+        assert args.fractions == DEFAULT_NOISE_FRACTIONS
+
+    def test_bad_fractions_exit_2_naming_the_flag(self, dataset_csv, tmp_path, capsys):
+        outdir = tmp_path / "noise"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate-noise", "--data", str(dataset_csv), "--fractions", "0,abc",
+                  "--out-dir", str(outdir), *FAST_FLAGS])
+        assert exc.value.code == 2
+        assert "--fractions" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_ablate_components_emits_variants(self, dataset_csv, tmp_path):
         outdir = tmp_path / "comp"

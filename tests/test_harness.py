@@ -59,14 +59,18 @@ class TestRunCv:
         assert rep.aggregate["g_mean"]["std"] == 0.0
         assert not rep.partial
 
-    def test_no_leakage_between_train_and_test(self, overlapping_imbalanced_ds):
+    def test_no_leakage_between_train_and_test(self, overlapping_imbalanced_ds, fold_calls):
         rep = run_cv(RunConfig(seed=1, **FAST), dataset=overlapping_imbalanced_ds)
         m = overlapping_imbalanced_ds.n_samples
-        for fr in rep.folds:
-            train = set(fr.train_indices.tolist())
-            test = set(fr.test_indices.tolist())
-            assert not train & test
-            assert len(train) + len(test) == m
+        assert [(r, f) for _, r, f, _, _ in fold_calls] == [(fr.repeat, fr.fold) for fr in rep.folds]
+        for r in range(FAST["repeats"]):
+            pairs = [(train, test) for _, rr, _, train, test in fold_calls if rr == r]
+            assert len(pairs) == FAST["folds"]
+            for train, test in pairs:
+                assert not set(train.tolist()) & set(test.tolist())
+                assert np.array_equal(np.union1d(train, test), np.arange(m))
+            tests = np.concatenate([test for _, test in pairs])
+            assert np.array_equal(np.sort(tests), np.arange(m))  # the test sets partition the rows
 
     def test_fold_results_carry_masks_and_or(self, overlapping_imbalanced_ds):
         rep = run_cv(RunConfig(seed=1, **FAST), dataset=overlapping_imbalanced_ds)
@@ -135,10 +139,11 @@ class TestDeterminism:
         emit_report(run_cv(cfg, dataset=overlapping_imbalanced_ds), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_different_seeds_differ(self, overlapping_imbalanced_ds):
-        r1 = run_cv(RunConfig(seed=1, **FAST), dataset=overlapping_imbalanced_ds)
-        r2 = run_cv(RunConfig(seed=2, **FAST), dataset=overlapping_imbalanced_ds)
-        assert r1.folds[0].test_indices.tolist() != r2.folds[0].test_indices.tolist()
+    def test_different_seeds_differ(self, overlapping_imbalanced_ds, fold_calls):
+        run_cv(RunConfig(seed=1, **FAST), dataset=overlapping_imbalanced_ds)
+        run_cv(RunConfig(seed=2, **FAST), dataset=overlapping_imbalanced_ds)
+        first = {cfg.seed: test for cfg, r, f, _, test in fold_calls if (r, f) == (0, 0)}
+        assert first[1].tolist() != first[2].tolist()
 
 
 class TestAblations:
@@ -151,13 +156,14 @@ class TestAblations:
         labels = np.concatenate([ds.labels, rng.integers(0, 2, size=30)])
         return Dataset(feats, labels, ("a", "b"))
 
-    def test_noise_ablation_shares_folds(self, noisy_ds):
+    def test_noise_ablation_shares_folds(self, noisy_ds, fold_calls):
         reports = ablate_noise(RunConfig(seed=4, **FAST), fractions=(0.0, 1.0), dataset=noisy_ds)
         assert set(reports) == {0.0, 1.0}
-        f0 = reports[0.0].folds
-        f1 = reports[1.0].folds
+        f0, f1 = ([(r, f, test) for cfg, r, f, _, test in fold_calls
+                   if cfg.noise_remove_fraction == frac] for frac in (0.0, 1.0))
+        assert len(f0) == len(f1) == FAST["folds"] * FAST["repeats"]
         for a, b in zip(f0, f1):
-            assert np.array_equal(a.test_indices, b.test_indices)
+            assert a[:2] == b[:2] and np.array_equal(a[2], b[2])
 
     def test_noise_fraction_echoed_in_config(self, noisy_ds):
         reports = ablate_noise(RunConfig(seed=4, **FAST), fractions=(0.0, 0.5), dataset=noisy_ds)
@@ -171,7 +177,7 @@ class TestAblations:
         b = reports[1.0].aggregate
         assert a == b
 
-    def test_component_variants_and_shared_folds(self, overlapping_imbalanced_ds):
+    def test_component_variants_and_shared_folds(self, overlapping_imbalanced_ds, fold_calls):
         reports = ablate_components(RunConfig(seed=6, **FAST),
                                     dataset=overlapping_imbalanced_ds)
         assert set(reports) == {"no_balancing", "no_pruning", "full"}
@@ -179,7 +185,8 @@ class TestAblations:
         assert reports["no_balancing"].config.use_pruning is True
         assert reports["no_pruning"].config.use_balancing is True
         assert reports["no_pruning"].config.use_pruning is False
-        tests = [r.folds[0].test_indices for r in reports.values()]
+        tests = [test for _, r, f, _, test in fold_calls if (r, f) == (0, 0)]
+        assert len(tests) == len(reports)
         assert all(np.array_equal(tests[0], t) for t in tests)
 
     def test_sweep_reports_equal_run_cv_with_small_class(self, tmp_path):
@@ -297,5 +304,15 @@ class TestConfig:
         assert merged.folds == 4  # None means "not set on the command line"
 
     def test_pool_spec_normalization(self):
-        cfg = config_from_dict({"pool": [{"kind": "knn", "params": {"k": 1}}, {"kind": "tree"}]})
-        assert cfg.pool == (("knn", {"k": 1}), ("tree", {}))
+        cfg = config_from_dict({"pool": [{"kind": "knn", "params": {"k": 1}}, {"kind": "tree"},
+                                         ["extra_tree", {"max_depth": 2}]]})
+        assert cfg.pool == (("knn", {"k": 1}), ("tree", {}), ("extra_tree", {"max_depth": 2}))
+
+    def test_malformed_pool_named_in_error(self):
+        for raw in ("knn", 3, [], [{"params": {}}], [{"kind": "svm"}], [["knn"]],
+                    [["knn", {}, 1]], [{"kind": "knn", "params": [1]}], [[["knn"], {}]]):
+            with pytest.raises(ValueError, match="invalid config: pool="):
+                config_from_dict({"pool": raw})
+        for pool in ((("svm", {}),), (("knn", None),), (["knn", {}],), ((3, {}),)):
+            with pytest.raises(ValueError, match="invalid config: pool="):
+                RunConfig(pool=pool)

@@ -86,14 +86,15 @@ class TestTrainPool:
     def test_default_pool_order(self):
         ds = make_blobs([(0, 0), (5, 5)], [15, 15], seed=0)
         pool = train_pool(ds.features, ds.labels, 2, seed=0)
-        assert pool.kinds == ("knn", "gaussian_nb", "tree", "extra_tree")
+        assert [type(c) for c in pool.classifiers] == [KNNClassifier, GaussianNBClassifier,
+                                                       GiniTreeClassifier, ExtraTreeClassifier]
         assert pool.size == 4
 
     def test_custom_pool_spec(self):
         ds = make_blobs([(0, 0), (5, 5)], [15, 15], seed=0)
         pool = train_pool(ds.features, ds.labels, 2,
                           pool_spec=[("knn", {"k": 1}), ("tree", {"max_depth": 2})], seed=0)
-        assert pool.kinds == ("knn", "tree")
+        assert [type(c) for c in pool.classifiers] == [KNNClassifier, GiniTreeClassifier]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
@@ -131,8 +132,7 @@ class TestMajorityVote:
                 return np.full(np.atleast_2d(x).shape[0], self.label, dtype=np.int64)
         from imbkit.learners import ClassifierPool
         return ClassifierPool(classifiers=tuple(Fixed(v) for v in votes),
-                              kinds=tuple("fixed" for _ in votes),
-                              n_classes=int(max(votes)) + 1, n_features=1)
+                              n_classes=int(max(votes)) + 1)
 
     def test_single_selected_member(self):
         pool = self._pool_with_fixed_votes([2, 0, 1])

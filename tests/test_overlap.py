@@ -7,7 +7,7 @@ from imbkit.config import RunConfig
 from imbkit.data_model import Dataset
 from imbkit.harness import partition_regions
 from imbkit.overlap import gap_profile, gap_statistics, select_non_overlapping, sor_all
-from imbkit.region import CORE, NOISY, OVERLAPPING, ClassThresholds, RegionAssignment
+from imbkit.region import CORE, NOISY, OVERLAPPING, RegionAssignment
 from tests.conftest import make_blobs
 
 WORKED_DISTANCES = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 6.8]
@@ -25,11 +25,7 @@ def population_stats_oracle(distances):
 def make_assignment(tags, labels):
     tags = np.asarray(tags, dtype=np.int8)
     labels = np.asarray(labels, dtype=np.int64)
-    n = int(labels.max()) + 1
-    T = ClassThresholds(mean_own=np.ones(n), max_own=np.ones(n),
-                        threshold=np.ones(n), mode="midpoint")
-    return RegionAssignment(tags=tags, max_own_posterior=np.ones(labels.size),
-                            thresholds=T, labels=labels)
+    return RegionAssignment(tags=tags, max_own_posterior=np.ones(labels.size), labels=labels)
 
 
 def worked_fixture():

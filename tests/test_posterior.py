@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbkit.data_model import Dataset
-from imbkit.posterior import (NBModel, PosteriorMatrix, fit_nb, fit_nb_arrays, posteriors,
-                              posteriors_from_arrays)
+from imbkit.posterior import NBModel, PosteriorMatrix, fit_nb, posteriors
 
 
 def direct_posterior_oracle(model: NBModel, features: np.ndarray) -> np.ndarray:
@@ -28,60 +26,59 @@ def direct_posterior_oracle(model: NBModel, features: np.ndarray) -> np.ndarray:
 
 def two_class_1d_model():
     # class a ~ {0, 2}: mean 1, var 1; class b ~ {4, 6}: mean 5, var 1; equal priors
-    ds = Dataset(np.array([[0.0], [2.0], [4.0], [6.0]]), np.array([0, 0, 1, 1]), ("a", "b"))
-    return fit_nb(ds), ds
+    return fit_nb(np.array([[0.0], [2.0], [4.0], [6.0]]), np.array([0, 0, 1, 1]), 2)
 
 
 class TestFitNB:
     def test_two_point_variance(self):
-        model = fit_nb_arrays(np.array([[0.0], [2.0]]), np.array([0, 0]), 1)
+        model = fit_nb(np.array([[0.0], [2.0]]), np.array([0, 0]), 1)
         assert model.priors[0] == 1.0
         assert model.means[0, 0] == pytest.approx(1.0)
         assert model.variances[0, 0] == pytest.approx(1.0 + model.smoothing)
 
     def test_priors_are_frequencies(self):
         y = np.concatenate([np.zeros(30, int), np.ones(70, int)])
-        model = fit_nb_arrays(np.random.default_rng(0).normal(size=(100, 2)), y, 2)
+        model = fit_nb(np.random.default_rng(0).normal(size=(100, 2)), y, 2)
         assert model.priors.tolist() == pytest.approx([0.3, 0.7])
 
     def test_single_sample_class_stays_finite(self):
         x = np.array([[0.0], [1.0], [2.0], [50.0]])
         y = np.array([0, 0, 0, 1])
-        model = fit_nb_arrays(x, y, 2)
+        model = fit_nb(x, y, 2)
         # population variance of the singleton class is 0; smoothing must keep it positive
         expected_eps = max(1e-9 * x.var(axis=0).max(), 1e-12)
         assert model.variances[1, 0] == pytest.approx(expected_eps)
-        post = posteriors(model, Dataset(x, y, ("a", "b")))
+        post = posteriors(model, x)
         assert np.all(np.isfinite(post.values))
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError, match="empty class"):
-            fit_nb_arrays(np.zeros((3, 1)), np.zeros(3, int), 2)
+            fit_nb(np.zeros((3, 1)), np.zeros(3, int), 2)
 
 
 class TestPosteriors:
     def test_symmetric_query(self):
-        model, _ = two_class_1d_model()
-        post = posteriors(model, Dataset(np.array([[3.0], [3.0]]), np.array([0, 1]), ("a", "b")))
+        model = two_class_1d_model()
+        post = posteriors(model, np.array([[3.0], [3.0]]))
         assert post.values[0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_closed_form_density_ratio(self):
         # N(1;1,1) / (N(1;1,1) + N(1;5,1)) = 1 / (1 + e^-8) ~= 0.99966
-        model, _ = two_class_1d_model()
-        post = posteriors(model, Dataset(np.array([[1.0], [1.0]]), np.array([0, 1]), ("a", "b")))
+        model = two_class_1d_model()
+        post = posteriors(model, np.array([[1.0], [1.0]]))
         expected = 1.0 / (1.0 + math.exp(-8.0 * 1.0 / (1.0 + model.smoothing)))
         assert post.values[0, 0] == pytest.approx(expected, abs=1e-9)
         assert post.values[0, 0] == pytest.approx(0.99966, abs=5e-5)
 
     def test_single_class_column_of_ones(self):
-        model = fit_nb_arrays(np.array([[0.0], [2.0]]), np.array([0, 0]), 1)
-        post = posteriors(model, Dataset(np.array([[5.0], [0.0]]), np.array([0, 0]), ("a",)))
+        model = fit_nb(np.array([[0.0], [2.0]]), np.array([0, 0]), 1)
+        post = posteriors(model, np.array([[5.0], [0.0]]))
         assert np.all(post.values == 1.0)
 
     def test_dimension_mismatch(self):
-        model, _ = two_class_1d_model()
+        model = two_class_1d_model()
         with pytest.raises(ValueError, match="mismatch"):
-            posteriors(model, Dataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b")))
+            posteriors(model, np.zeros((2, 3)))
 
     def test_no_underflow_on_many_features(self):
         # 42 features far from both class means: raw density products underflow,
@@ -89,9 +86,9 @@ class TestPosteriors:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(20, 42))
         y = np.repeat([0, 1], 10)
-        model = fit_nb_arrays(x, y, 2)
+        model = fit_nb(x, y, 2)
         query = np.full((1, 42), 80.0)
-        post = posteriors_from_arrays(model, query)
+        post = posteriors(model, query)
         assert post.values.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(post.values >= 0)
 
@@ -104,9 +101,8 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         labels = np.concatenate([np.arange(n), rng.integers(0, n, size=m - n)])
         feats = rng.normal(scale=3.0, size=(m, z))
-        ds = Dataset(feats, labels, tuple(f"c{i}" for i in range(n)))
-        model = fit_nb(ds)
-        post = posteriors(model, ds)
+        model = fit_nb(feats, labels, n)
+        post = posteriors(model, feats)
         assert np.allclose(post.values, direct_posterior_oracle(model, feats), atol=1e-9)
         assert np.allclose(post.values.sum(axis=1), 1.0, atol=1e-9)
 
@@ -114,11 +110,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(9)
         feats = rng.normal(size=(12, 2))
         labels = np.repeat([0, 1, 2], 4)
-        ds = Dataset(feats, labels, ("a", "b", "c"))
-        doubled = Dataset(np.vstack([feats, feats]), np.concatenate([labels, labels]),
-                          ("a", "b", "c"))
-        p1 = posteriors(fit_nb(ds), ds)
-        p2 = posteriors(fit_nb(doubled), doubled)
+        doubled = np.vstack([feats, feats])
+        p1 = posteriors(fit_nb(feats, labels, 3), feats)
+        p2 = posteriors(fit_nb(doubled, np.concatenate([labels, labels]), 3), doubled)
         assert np.allclose(p1.values, p2.values[:12], atol=1e-9)
 
 

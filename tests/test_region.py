@@ -52,7 +52,8 @@ class TestClassThresholds:
 
 class TestPartition:
     def test_separated_gaussians_all_core(self, separable_ds):
-        post = posteriors(fit_nb(separable_ds), separable_ds)
+        ds = separable_ds
+        post = posteriors(fit_nb(ds.features, ds.labels, ds.n_classes), ds.features)
         # oracle check: separation is real, every own posterior saturates
         assert np.all(post.values[np.arange(60), separable_ds.labels] > 0.999)
         T = class_thresholds(post, separable_ds.labels)
@@ -72,7 +73,7 @@ class TestPartition:
         P = stochastic([[0.9, 0.1], [0.5, 0.5], [0.4, 0.6], [0.05, 0.95]])
         labels = np.array([0, 0, 0, 1])
         T = ClassThresholds(mean_own=np.array([0.6, 0.95]), max_own=np.array([0.9, 0.95]),
-                            threshold=np.array([0.75, 0.5]), mode="midpoint")
+                            threshold=np.array([0.75, 0.5]))
         assign = partition(P, T, labels)
         assert assign.tags[0] == CORE          # 0.9 >= 0.75
         assert assign.tags[2] == OVERLAPPING   # 0.4 < 0.75 but 0.6 > 0.5
@@ -81,7 +82,7 @@ class TestPartition:
     def test_noisy_fails_both(self):
         P = stochastic([[0.55, 0.45], [0.45, 0.55]])
         T = ClassThresholds(mean_own=np.array([0.9, 0.9]), max_own=np.array([0.9, 0.9]),
-                            threshold=np.array([0.9, 0.9]), mode="midpoint")
+                            threshold=np.array([0.9, 0.9]))
         assign = partition(P, T, np.array([0, 1]))
         assert np.all(assign.tags == NOISY)
 
@@ -118,7 +119,7 @@ class TestPartition:
         T = class_thresholds(P, labels)
         assign_lo = partition(P, T, labels)
         T_hi = ClassThresholds(mean_own=T.mean_own, max_own=T.max_own,
-                               threshold=T.threshold + 0.05, mode=T.mode)
+                               threshold=T.threshold + 0.05)
         assign_hi = partition(P, T_hi, labels)
         moved = (assign_lo.tags == NOISY) & (assign_hi.tags == CORE)
         assert not moved.any()
@@ -128,10 +129,8 @@ class TestNoiseSubset:
     def _assignment(self, confidences, tags=None):
         m = len(confidences)
         tags = np.full(m, NOISY, dtype=np.int8) if tags is None else np.asarray(tags, dtype=np.int8)
-        T = ClassThresholds(mean_own=np.array([1.0]), max_own=np.array([1.0]),
-                            threshold=np.array([1.0]), mode="midpoint")
         return RegionAssignment(tags=tags, max_own_posterior=np.asarray(confidences, float),
-                                thresholds=T, labels=np.zeros(m, dtype=np.int64))
+                                labels=np.zeros(m, dtype=np.int64))
 
     def test_fraction_zero(self):
         assert noise_subset(self._assignment([0.1, 0.2]), 0.0).size == 0

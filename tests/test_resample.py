@@ -107,9 +107,16 @@ class TestPenaltyAccept:
 
 class TestOmrp:
     def test_needed_zero(self):
-        batch = omrp(np.zeros((3, 2)), np.ones((3, 2)), needed=0, rng=np.random.default_rng(0))
-        assert batch.samples.shape == (0, 2)
-        assert batch.attempts_used == 0
+        for n_own in (3, 1):  # a single base sample needs no replicating either
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty batch warns of nothing
+                batch = omrp(np.zeros((n_own, 2)), np.ones((3, 2)), needed=0,
+                             rng=np.random.default_rng(0))
+            assert batch.samples.shape == (0, 2)
+            assert batch.attempts_used == batch.accepted_count == batch.shortfall == 0
+            for arr, dtype in ((batch.parents, np.int64), (batch.neighbors, np.int64),
+                               (batch.alphas, np.float64)):
+                assert arr.shape == (0,) and arr.dtype == dtype
 
     def test_two_tight_clusters(self):
         rng = np.random.default_rng(1)
@@ -158,9 +165,9 @@ class TestOmrp:
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            omrp(np.zeros((3, 1)), np.ones((3, 1)), needed=-1)
+            omrp(np.zeros((3, 1)), np.ones((3, 1)), needed=-1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            omrp(np.zeros((3, 1)), np.ones((3, 1)), needed=1, knn_k=0)
+            omrp(np.zeros((3, 1)), np.ones((3, 1)), needed=1, knn_k=0, rng=np.random.default_rng(0))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n_own=st.integers(2, 12),
