@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .learners import POOL_KINDS
+from .learners import POOL_KINDS, make_classifier
 from .overlap import KEEP_MODES
 from .region import THRESHOLD_MODES
 
@@ -29,10 +29,19 @@ _RANGES = {
     "noise_remove_fraction": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     "or_knn_k": (lambda v: v >= 1, ">= 1"),
     "pool": (lambda v: v is None or len(v) > 0 and all(
-        isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], str) and e[0] in POOL_KINDS
-        and isinstance(e[1], dict) for e in v),
-        f"None or a non-empty tuple of (kind, params dict) pairs, kind one of {tuple(POOL_KINDS)}"),
+        isinstance(e, tuple) and len(e) == 2 and isinstance(e[1], dict) and _builds(*e) for e in v),
+        f"None or a non-empty tuple of (kind, params dict) pairs, kind one of {tuple(POOL_KINDS)} "
+        "and params its classifier takes (k and max_depth integers >= 1)"),
 }
+
+
+def _builds(kind, params: dict) -> bool:
+    """Whether ``train_pool`` can build this pool entry's classifier."""
+    try:
+        make_classifier(kind, params, seed=0)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """New Dataset restricted to ``indices``; every class must survive."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.class_names)
+        return Dataset(self.features[idx], self.labels[idx], self.class_names)
 
 
 def load_csv(path, label_column) -> Dataset:
@@ -129,17 +129,11 @@ def load_csv(path, label_column) -> Dataset:
 
     if not rows:
         raise DataFormatError(f"{p}: no data rows")
-    names: list[str] = []
-    index = {}
-    labels = np.empty(len(labels_raw), dtype=np.int64)
-    for i, lab in enumerate(labels_raw):
-        if lab not in index:
-            index[lab] = len(names)
-            names.append(lab)
-        labels[i] = index[lab]
-    if len(names) < 2:
-        raise DataFormatError(f"{p}: found {len(names)} class(es), need at least 2")
-    return Dataset(np.asarray(rows, dtype=np.float64), labels, tuple(names))
+    codes: dict[str, int] = {}  # label -> code, in order of first appearance
+    labels = np.array([codes.setdefault(lab, len(codes)) for lab in labels_raw], dtype=np.int64)
+    if len(codes) < 2:
+        raise DataFormatError(f"{p}: found {len(codes)} class(es), need at least 2")
+    return Dataset(np.asarray(rows, dtype=np.float64), labels, tuple(codes))
 
 
 @dataclass(frozen=True)

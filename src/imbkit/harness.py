@@ -139,22 +139,19 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
 
     t0 = clock()
     pool_seed = int(rng_for(seed, "pool", repeat, fold).integers(2 ** 31))
+    pool_rows = fit_rows = np.arange(data_y.size)
     if config.use_pruning:
-        train_part, fit_part = _split_for_fitness(data_y, rng_for(seed, "split", repeat, fold))
-        if fit_part.size == 0:
+        pool_rows, fit_rows = _split_for_fitness(data_y, rng_for(seed, "split", repeat, fold))
+        if fit_rows.size == 0:
             warnings.warn("fitness holdout empty; evaluating pruning on the pool training data",
                           PipelineWarning, stacklevel=2)
-            train_part = np.arange(data_y.size)
-            fit_part = train_part
-        pool = learners.train_pool(data_x[train_part], data_y[train_part], ds.n_classes,
-                                   pool_spec=config.pool, seed=pool_seed)
-        pruned = pruning.prune(pool, data_x[fit_part], data_y[fit_part],
-                               n_pop=config.jaya_pop, t_max=config.jaya_iters,
-                               rng=rng_for(seed, "jaya", repeat, fold))
-        mask = pruned.mask
-    else:
-        pool = learners.train_pool(data_x, data_y, ds.n_classes, pool_spec=config.pool, seed=pool_seed)
-        mask = np.ones(pool.size, dtype=np.int64)
+            fit_rows = pool_rows  # every row: no class could spare one
+    pool = learners.train_pool(data_x[pool_rows], data_y[pool_rows], ds.n_classes,
+                               pool_spec=config.pool, seed=pool_seed)
+    mask = np.ones(pool.size, dtype=np.int64)
+    if config.use_pruning:
+        mask = pruning.prune(pool, data_x[fit_rows], data_y[fit_rows], n_pop=config.jaya_pop,
+                             t_max=config.jaya_iters, rng=rng_for(seed, "jaya", repeat, fold)).mask
     result.timings["ensemble"] = clock() - t0
 
     t0 = clock()
@@ -178,6 +175,13 @@ def _mean_std(values: dict) -> dict:
             for key, vals in values.items() if vals}
 
 
+def _dataset(config: RunConfig, dataset: Dataset | None) -> Dataset:
+    """``dataset`` if given, else the config's data file loaded."""
+    if dataset is None and config.data_path is None:
+        raise ValueError("config.data_path is required when no dataset is passed")
+    return load_csv(config.data_path, config.label_column) if dataset is None else dataset
+
+
 def run_cv(config: RunConfig, dataset: Dataset | None = None) -> ExperimentReport:
     """Repeated stratified cross-validation of the full pipeline.
 
@@ -186,10 +190,7 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None) -> ExperimentRepor
     and ``seed``, so reports with those equal share it.  Deterministic for a
     given config and seed.
     """
-    if dataset is None:
-        if config.data_path is None:
-            raise ValueError("config.data_path is required when no dataset is passed")
-        dataset = load_csv(config.data_path, config.label_column)
+    dataset = _dataset(config, dataset)
     fold_results: list[FoldResult] = []
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
@@ -231,8 +232,7 @@ def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
     No variant overrides the fold settings, so all of them share one fold plan.
     """
     configs = {key: replace(config, **overrides) for key, overrides in variants.items()}
-    if dataset is None:
-        dataset = load_csv(config.data_path, config.label_column)
+    dataset = _dataset(config, dataset)
     return {key: run_cv(cfg, dataset) for key, cfg in configs.items()}
 
 

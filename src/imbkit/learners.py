@@ -16,11 +16,17 @@ from .distances import nearest, pairwise_sq
 from .posterior import fit_nb, log_joint
 
 
+def _positive_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 class KNNClassifier:
     """k-nearest-neighbor vote over the training set (Euclidean, k=3 default)."""
 
     def __init__(self, k: int = 3):
-        self.k = int(k)
+        self.k = _positive_int("k", k)
 
     def fit(self, features, labels, n_classes):
         self._x = np.asarray(features, dtype=np.float64)
@@ -31,7 +37,7 @@ class KNNClassifier:
     def predict(self, features):
         sq = pairwise_sq(np.asarray(features, dtype=np.float64), self._x)
         nb = nearest(sq, self.k)  # distance ties fall to lower index
-        return _count_votes(self._y[nb].T, self.n_classes).argmax(axis=0)
+        return count_votes(self._y[nb].T, self.n_classes).argmax(axis=0)
 
 
 class GaussianNBClassifier:
@@ -47,83 +53,75 @@ class GaussianNBClassifier:
         return np.argmax(log_joint(self._model, np.asarray(features, dtype=np.float64)), axis=1)
 
 
-def _gini_best_threshold(col: np.ndarray, y: np.ndarray, n_classes: int):
-    """Best midpoint threshold for one feature by Gini gain; None if unsplittable."""
-    order = np.argsort(col, kind="stable")
-    sv, sy = col[order], y[order]
-    change = np.flatnonzero(sv[:-1] != sv[1:])
-    if change.size == 0:
-        return None, -np.inf
-    onehot = np.zeros((sv.size, n_classes))
-    onehot[np.arange(sv.size), sy] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    left = cum[change]
-    total = cum[-1]
-    right = total - left
-    nl = (change + 1).astype(float)[:, None]
-    nr = sv.size - nl
-    gini_l = 1.0 - ((left / nl) ** 2).sum(axis=1)
-    gini_r = 1.0 - ((right / nr) ** 2).sum(axis=1)
-    child = (nl.ravel() * gini_l + nr.ravel() * gini_r) / sv.size
-    best = int(np.argmin(child))  # first minimum: deterministic tie-break
-    parent = 1.0 - ((total / sv.size) ** 2).sum()
-    thr = 0.5 * (sv[change[best]] + sv[change[best] + 1])
-    return float(thr), float(parent - child[best])
-
-
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "label")
-
-    def __init__(self, label=None, feature=None, threshold=None, left=None, right=None):
-        self.label, self.feature, self.threshold = label, feature, threshold
-        self.left, self.right = left, right
+def _gini(counts: np.ndarray, n) -> np.ndarray:
+    """Gini impurity of class counts over ``n`` samples, along the last axis."""
+    return 1.0 - ((counts / n) ** 2).sum(axis=-1)
 
 
 class GiniTreeClassifier:
-    """Depth-limited CART with exhaustive Gini splits; depth 1 is a decision stump."""
+    """Depth-limited CART with exhaustive Gini splits; depth 1 is a decision stump.
+
+    A node is a leaf label or a (feature, threshold, left, right) tuple; ``<=`` goes left.
+    """
 
     def __init__(self, max_depth: int = 1):
-        self.max_depth = int(max_depth)
+        self.max_depth = _positive_int("max_depth", max_depth)
 
-    def _leaf(self, y):
-        return _TreeNode(label=int(np.argmax(np.bincount(y, minlength=self.n_classes))))
+    def _threshold(self, col, y):
+        """(threshold, weighted child impurity) of one feature's best midpoint; (None, inf) if none."""
+        order = np.argsort(col, kind="stable")
+        sv, sy = col[order], y[order]
+        change = np.flatnonzero(sv[:-1] != sv[1:])
+        if change.size == 0:
+            return None, np.inf
+        cum = np.cumsum(np.eye(self.n_classes)[sy], axis=0)  # class counts of each prefix
+        left = cum[change]
+        nl = (change + 1).astype(float)[:, None]
+        nr = sv.size - nl
+        child = (nl.ravel() * _gini(left, nl) + nr.ravel() * _gini(cum[-1] - left, nr)) / sv.size
+        best = int(np.argmin(child))  # first minimum: deterministic tie-break
+        return float(0.5 * (sv[change[best]] + sv[change[best] + 1])), child[best]
 
-    def _split_candidates(self, x, y, rng):
-        # exhaustive midpoints; subclass hook for randomized thresholds.
-        # zero-gain splits are allowed (children may still separate deeper down)
-        best_f, best_t, best_gain = None, None, -np.inf
+    def _split(self, x, y):
+        """(feature, threshold) of the highest-gain split, the first feature on ties; None if none.
+
+        Zero-gain splits count: their children may still separate deeper down."""
+        parent = _gini(np.bincount(y, minlength=self.n_classes), y.size)
+        best, best_gain = None, -np.inf
         for f in range(x.shape[1]):
-            thr, gain = _gini_best_threshold(x[:, f], y, self.n_classes)
-            if thr is not None and gain > best_gain + 1e-15:
-                best_f, best_t, best_gain = f, thr, gain
-        return best_f, best_t
+            thr, child = self._threshold(x[:, f], y)
+            if parent - child > best_gain + 1e-15:
+                best, best_gain = (f, thr), parent - child
+        return best
 
-    def _build(self, x, y, depth, rng):
-        if depth >= self.max_depth or np.unique(y).size == 1:
-            return self._leaf(y)
-        f, thr = self._split_candidates(x, y, rng)
-        if f is None:
-            return self._leaf(y)
-        mask = x[:, f] <= thr
-        return _TreeNode(feature=f, threshold=thr,
-                         left=self._build(x[mask], y[mask], depth + 1, rng),
-                         right=self._build(x[~mask], y[~mask], depth + 1, rng))
+    def _build(self, x, y, depth):
+        split = self._split(x, y) if depth < self.max_depth and np.unique(y).size > 1 else None
+        if split is None:
+            return int(np.argmax(np.bincount(y, minlength=self.n_classes)))
+        f, thr = split
+        go_left = x[:, f] <= thr
+        return (f, thr, self._build(x[go_left], y[go_left], depth + 1),
+                self._build(x[~go_left], y[~go_left], depth + 1))
 
-    def fit(self, features, labels, n_classes, rng=None):
+    def fit(self, features, labels, n_classes):
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.int64)
         self.n_classes = int(n_classes)
-        self._root = self._build(x, y, 0, rng)
+        self._root = self._build(x, y, 0)
         return self
 
     def predict(self, features):
         x = np.asarray(features, dtype=np.float64)
         out = np.empty(x.shape[0], dtype=np.int64)
-        for i in range(x.shape[0]):
-            node = self._root
-            while node.label is None:
-                node = node.left if x[i, node.feature] <= node.threshold else node.right
-            out[i] = node.label
+        pending = [(self._root, np.arange(x.shape[0]))]  # (node, rows that reach it)
+        while pending:
+            node, rows = pending.pop()
+            if isinstance(node, tuple):
+                f, thr, left, right = node
+                go_left = x[rows, f] <= thr
+                pending += [(left, rows[go_left]), (right, rows[~go_left])]
+            else:
+                out[rows] = node
         return out
 
 
@@ -135,27 +133,19 @@ class ExtraTreeClassifier(GiniTreeClassifier):
         super().__init__(max_depth=max_depth)
         self.seed = int(seed)
 
-    def _split_candidates(self, x, y, rng):
-        best_f, best_t, best_gain = None, None, -np.inf
-        parent = 1.0 - ((np.bincount(y, minlength=self.n_classes) / y.size) ** 2).sum()
-        for f in range(x.shape[1]):
-            lo, hi = x[:, f].min(), x[:, f].max()
-            thr = rng.uniform(lo, hi)
-            if hi <= lo:
-                continue
-            mask = x[:, f] <= thr
-            nl = int(mask.sum())
-            if nl == 0 or nl == y.size:
-                continue
-            gl = 1.0 - ((np.bincount(y[mask], minlength=self.n_classes) / nl) ** 2).sum()
-            gr = 1.0 - ((np.bincount(y[~mask], minlength=self.n_classes) / (y.size - nl)) ** 2).sum()
-            gain = parent - (nl * gl + (y.size - nl) * gr) / y.size
-            if gain > best_gain + 1e-15:
-                best_f, best_t, best_gain = f, float(thr), gain
-        return best_f, best_t
+    def _threshold(self, col, y):
+        thr = self._rng.uniform(col.min(), col.max())  # drawn even for a constant feature
+        go_left = col <= thr
+        nl = int(go_left.sum())
+        if nl == y.size:  # nothing above the draw, e.g. a constant feature
+            return None, np.inf
+        gini_l = _gini(np.bincount(y[go_left], minlength=self.n_classes), nl)
+        gini_r = _gini(np.bincount(y[~go_left], minlength=self.n_classes), y.size - nl)
+        return float(thr), (nl * gini_l + (y.size - nl) * gini_r) / y.size
 
-    def fit(self, features, labels, n_classes, rng=None):
-        return super().fit(features, labels, n_classes, rng=np.random.default_rng(self.seed))
+    def fit(self, features, labels, n_classes):
+        self._rng = np.random.default_rng(self.seed)
+        return super().fit(features, labels, n_classes)
 
 
 DEFAULT_POOL_SPEC = (
@@ -171,7 +161,8 @@ POOL_KINDS = {"knn": KNNClassifier, "gaussian_nb": GaussianNBClassifier,
               "tree": GiniTreeClassifier, "extra_tree": ExtraTreeClassifier}
 
 
-def _make_classifier(kind: str, params: dict, seed: int):
+def make_classifier(kind: str, params: dict, seed: int):
+    """The untrained classifier of one pool entry; a bad kind or parameter raises here."""
     if kind not in POOL_KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
     seeded = {"seed": seed} if kind == "extra_tree" else {}
@@ -204,7 +195,7 @@ def train_pool(features, labels, n_classes: int, pool_spec=None, seed: int = 0) 
     spec = tuple(pool_spec) if pool_spec is not None else DEFAULT_POOL_SPEC
     members = []
     for slot, (kind, params) in enumerate(spec):
-        clf = _make_classifier(kind, dict(params), seed=(int(seed) * 1000003 + slot) & 0x7FFFFFFF)
+        clf = make_classifier(kind, dict(params), seed=(int(seed) * 1000003 + slot) & 0x7FFFFFFF)
         clf.fit(x, y, n_classes)
         members.append(clf)
     return ClassifierPool(classifiers=tuple(members), n_classes=int(n_classes))
@@ -216,7 +207,7 @@ def member_predictions(pool: ClassifierPool, features) -> np.ndarray:
     return np.vstack([clf.predict(x) for clf in pool.classifiers])
 
 
-def _count_votes(labels: np.ndarray, n_classes: int) -> np.ndarray:
+def count_votes(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """(n_classes, columns) count of each label down each column of a (voters, columns) array.
 
     ``argmax(axis=0)`` of the counts is the column's majority label, ties going
@@ -235,12 +226,12 @@ def vote_from_predictions(preds: np.ndarray, mask, n_classes: int) -> np.ndarray
         raise ValueError("mask length must equal pool size")
     if not mask.any():
         raise ValueError("mask selects no classifiers")
-    return _count_votes(preds[mask], n_classes).argmax(axis=0)
+    return count_votes(preds[mask], n_classes).argmax(axis=0)
 
 
 def vote_shares(preds: np.ndarray, mask, n_classes: int) -> np.ndarray:
     """(m, n) fraction of selected classifiers voting each class; posterior-like scores."""
     mask = np.asarray(mask, dtype=bool)
     sel = preds[mask]
-    return (_count_votes(sel, n_classes) / sel.shape[0]).T
+    return (count_votes(sel, n_classes) / sel.shape[0]).T
 

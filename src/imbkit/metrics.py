@@ -9,6 +9,7 @@ import numpy as np
 
 from .data_model import Dataset, PipelineWarning
 from .distances import nearest, pairwise_sq
+from .learners import count_votes
 
 
 def confusion_matrix(preds: np.ndarray, truth: np.ndarray, n_classes: int) -> np.ndarray:
@@ -74,17 +75,8 @@ def classification_metrics(preds, truth, n_classes: int) -> ClassificationMetric
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, tie_group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[tie_group]
 
 
 def macro_ovr_auc(scores: np.ndarray, truth: np.ndarray) -> float:
@@ -138,9 +130,9 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
     flagged = np.flatnonzero(foreign.sum(axis=1) >= int(np.ceil(knn_k / 2)))
 
     # per flagged sample, its most frequent foreign neighbour label (ties to the smallest)
-    row, col = np.nonzero(foreign[flagged])
-    votes = np.bincount(row * n + nb_labels[flagged][row, col], minlength=flagged.size * n)
-    into = votes.reshape(flagged.size, n).argmax(axis=1)
+    votes = count_votes(nb_labels[flagged].T, n)
+    votes[ds.labels[flagged], np.arange(flagged.size)] = 0
+    into = votes.argmax(axis=0)
     # [i, j]: class-i samples overlapping into j
     n_ov = np.bincount(ds.labels[flagged] * n + into, minlength=n * n).reshape(n, n)
     counts = ds.class_counts()

@@ -223,9 +223,14 @@ class TestWrongTypedConfig:
 
 
 # Malformed pools in a config file; each once exited 2 with a message naming no
-# field, or (an unknown kind) ran every fold into an abort.
+# field, ran every fold into an abort (an unknown kind, a string depth) or ran
+# to exit 0 on a parameter the classifier cannot use (k 0, k 2.7).
 BAD_POOLS = {"string": "knn", "number": 3, "no_kind": [{"params": {}}],
-             "unknown_kind": [{"kind": "svm"}], "empty": []}
+             "unknown_kind": [{"kind": "svm"}], "empty": [],
+             "knn_k_0": [{"kind": "knn", "params": {"k": 0}}],
+             "knn_k_float": [{"kind": "knn", "params": {"k": 2.7}}],
+             "tree_depth_str": [{"kind": "tree", "params": {"max_depth": "x"}}],
+             "extra_tree_seed": [{"kind": "extra_tree", "params": {"seed": 5}}]}
 
 
 class TestMalformedPool:

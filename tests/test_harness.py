@@ -112,6 +112,13 @@ class TestRunCv:
         with pytest.raises(ValueError, match="data_path"):
             run_cv(RunConfig())
 
+    def test_sweeps_without_data_rejected_like_run_cv(self):
+        # both sweeps once failed inside load_csv with a TypeError on the None path
+        with pytest.raises(ValueError, match="data_path"):
+            ablate_noise(RunConfig())
+        with pytest.raises(ValueError, match="data_path"):
+            ablate_components(RunConfig())
+
     def test_use_pruning_off_gives_all_ones_mask(self, separable_ds):
         rep = run_cv(RunConfig(seed=0, use_pruning=False, **FAST), dataset=separable_ds)
         assert all(fr.mask == [1, 1, 1, 1] for fr in rep.folds if fr.status == "ok")
@@ -313,6 +320,11 @@ class TestConfig:
                     [["knn", {}, 1]], [{"kind": "knn", "params": [1]}], [[["knn"], {}]]):
             with pytest.raises(ValueError, match="invalid config: pool="):
                 config_from_dict({"pool": raw})
-        for pool in ((("svm", {}),), (("knn", None),), (["knn", {}],), ((3, {}),)):
+        # params are checked by building each entry's classifier
+        bad_params = (("knn", {"k": 0}), ("knn", {"k": 2.7}), ("knn", {"k": True}),
+                      ("tree", {"max_depth": "x"}), ("extra_tree", {"max_depth": 0}),
+                      ("extra_tree", {"seed": 5}), ("gaussian_nb", {"k": 3}))
+        for pool in ((("svm", {}),), (("knn", None),), (["knn", {}],), ((3, {}),),
+                     *((("knn", {}), entry) for entry in bad_params)):
             with pytest.raises(ValueError, match="invalid config: pool="):
                 RunConfig(pool=pool)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbkit.learners import (DEFAULT_POOL_SPEC, ExtraTreeClassifier, GaussianNBClassifier,
-                             GiniTreeClassifier, KNNClassifier, _count_votes, member_predictions,
+                             GiniTreeClassifier, KNNClassifier, count_votes, member_predictions,
                              train_pool, vote_from_predictions, vote_shares)
 from tests.conftest import make_blobs
 
@@ -72,14 +72,51 @@ class TestExtraTree:
         ds = make_blobs([(0, 0), (4, 4)], [20, 20], seed=2)
         a = ExtraTreeClassifier(max_depth=1, seed=9).fit(ds.features, ds.labels, 2)
         b = ExtraTreeClassifier(max_depth=1, seed=9).fit(ds.features, ds.labels, 2)
-        assert a._root.feature == b._root.feature
-        assert a._root.threshold == b._root.threshold
+        assert a._root[0] == b._root[0]  # (feature, threshold, left, right)
+        assert a._root[1] == b._root[1]
 
     def test_different_seed_usually_differs(self):
         ds = make_blobs([(0, 0), (4, 4)], [20, 20], seed=2)
         thresholds = {ExtraTreeClassifier(max_depth=1, seed=s)
-                      .fit(ds.features, ds.labels, 2)._root.threshold for s in range(6)}
+                      .fit(ds.features, ds.labels, 2)._root[1] for s in range(6)}
         assert len(thresholds) > 1
+
+
+def descend(node, row) -> int:
+    """Leaf label one row reaches, walked node by node: the per-row reference for predict."""
+    while isinstance(node, tuple):
+        feature, threshold, left, right = node
+        node = left if row[feature] <= threshold else right
+    return node
+
+
+def splits(node) -> list:
+    """(feature, threshold) of every internal node."""
+    if not isinstance(node, tuple):
+        return []
+    return [node[:2]] + splits(node[2]) + splits(node[3])
+
+
+def depth(node) -> int:
+    return 1 + max(depth(node[2]), depth(node[3])) if isinstance(node, tuple) else 0
+
+
+class TestTreePredict:
+    @pytest.mark.parametrize("tree", [GiniTreeClassifier(max_depth=3),
+                                      ExtraTreeClassifier(max_depth=3, seed=4)],
+                             ids=["gini", "extra"])
+    def test_depth_3_predicts_like_per_row_descent(self, tree):
+        ds = make_blobs([(0, 0, 0), (1.5, 0, 1), (0, 1.5, -1)], [40, 25, 15], seed=3)
+        tree.fit(ds.features, ds.labels, 3)
+        assert depth(tree._root) == 3
+        queries = [ds.features, np.random.default_rng(5).normal(0.5, 1.5, (60, 3))]
+        for feature, threshold in splits(tree._root):  # rows exactly on a threshold go left
+            on_split = ds.features.copy()
+            on_split[:, feature] = threshold
+            queries.append(on_split)
+        queries = np.vstack(queries)
+        assert tree.predict(queries).tolist() == [descend(tree._root, row) for row in queries]
+        assert tree.predict(queries[:0]).shape == (0,)
 
 
 class TestTrainPool:
@@ -190,7 +227,7 @@ class TestVoteCounter:
     def test_matches_add_at_reference(self, case):
         labels, n_classes = case
         ref = add_at_counts(labels, n_classes)
-        assert np.array_equal(_count_votes(labels, n_classes), ref)
+        assert np.array_equal(count_votes(labels, n_classes), ref)
         mask = np.ones(labels.shape[0], dtype=bool)
         winners = vote_from_predictions(labels, mask, n_classes)
         for j in range(labels.shape[1]):  # ties go to the smallest label
@@ -200,7 +237,7 @@ class TestVoteCounter:
 
     def test_ties_go_to_smallest_label(self):
         labels = np.array([[2, 1, 0], [1, 2, 2], [0, 0, 1], [2, 1, 1]])
-        assert _count_votes(labels, 3).tolist() == [[1, 1, 1], [1, 2, 2], [2, 1, 1]]
+        assert count_votes(labels, 3).tolist() == [[1, 1, 1], [1, 2, 2], [2, 1, 1]]
         assert vote_from_predictions(labels, [1, 1, 1, 1], 3).tolist() == [2, 1, 1]
         assert vote_from_predictions(labels, [1, 1, 0, 0], 3).tolist() == [1, 1, 0]
 

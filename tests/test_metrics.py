@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbkit.data_model import Dataset, PipelineWarning
-from imbkit.metrics import (classification_metrics, confusion_matrix, macro_ovr_auc,
-                            overlap_ratios)
+from imbkit.metrics import (_average_ranks, classification_metrics, confusion_matrix,
+                            macro_ovr_auc, overlap_ratios)
 from tests.conftest import make_blobs
 
 
@@ -121,6 +121,34 @@ class TestMacroOvrAuc:
         assert auc == 1.0
 
 
+def loop_average_ranks(x):
+    """Walk the stably sorted values run by run, each run of ties sharing its mean 1-based rank."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 0.5, 1.0, 2.0]), max_size=40))
+    def test_matches_loop_on_tie_heavy_data(self, values):
+        x = np.array(values, dtype=np.float64)
+        ranks = _average_ranks(x)
+        assert ranks.dtype == np.float64
+        assert np.array_equal(ranks, loop_average_ranks(x))
+
+    def test_hand_case(self):
+        assert _average_ranks(np.array([0.5, 0.1, 0.5, 0.9, 0.5])).tolist() == [3.0, 1.0, 3.0, 5.0, 3.0]
+
+
 class TestOverlapRatios:
     def test_far_apart_classes_have_zero_overlap(self):
         ds = make_blobs([(0.0, 0.0), (500.0, 500.0)], [20, 20], std=1.0, seed=0)
@@ -177,6 +205,18 @@ class TestOverlapRatios:
         assert overlap_ratios(permuted, 5).or_dataset == pytest.approx(rep.or_dataset)
         assert overlap_ratios(scaled, 5).or_dataset == pytest.approx(rep.or_dataset)
         assert np.allclose(overlap_ratios(scaled, 5).or_pair, rep.or_pair)
+
+    def test_own_class_tie_does_not_win_the_foreign_majority(self):
+        # Six 1-D points and k=5, so every sample's neighbours are the other five.
+        # Each class-0 sample sees two class-0, two class-2 and one class-1
+        # neighbour: flagged (3 foreign), and its own count ties the top foreign
+        # label's.  Its foreign majority is class 2, not its own smaller label.
+        feats = np.array([[0.0], [1.0], [-4.0], [5.0], [-2.0], [3.0]])
+        ds = Dataset(feats, np.array([0, 0, 0, 1, 2, 2]), ("a", "b", "c"))
+        rep = overlap_ratios(ds, knn_k=5)
+        # N_02 = 3 of 3, N_10 = 1 of 1, N_20 = 2 of 2; no sample overlaps into its own class
+        assert rep.or_class.tolist() == [1.0, 1.0, 1.0]
+        assert rep.or_pair.tolist() == [[0.0, 0.5, 1.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
     def test_too_few_samples(self):
         ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 1, 1]), ("a", "b"))
