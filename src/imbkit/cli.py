@@ -20,8 +20,6 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, metrics, overlap, region
 from .config import RunConfig, load_config_file, merge_config
 from .data_model import Dataset, load_csv, minmax_scale, rng_for
@@ -96,13 +94,13 @@ def cmd_partition(args) -> int:
 def cmd_clean(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
-    kept = np.flatnonzero(harness.clean(ds, harness.partition_regions(ds, cfg), cfg))
+    keep = harness.clean(ds, harness.partition_regions(ds, cfg), cfg)
     before = metrics.overlap_ratios(ds, knn_k=cfg.or_knn_k).or_dataset
-    cleaned = ds.subset(kept)
+    cleaned = ds.subset(keep)
     after = metrics.overlap_ratios(cleaned, knn_k=cfg.or_knn_k).or_dataset
     print(f"overlap ratio before: {before * 100:.2f}%")
     print(f"overlap ratio after:  {after * 100:.2f}%")
-    print(f"kept {kept.size} of {ds.n_samples} samples")
+    print(f"kept {cleaned.n_samples} of {ds.n_samples} samples")
     if args.out:
         _write_csv(args.out, *_dataset_table(cleaned))
     return 0

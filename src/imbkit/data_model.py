@@ -73,8 +73,17 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
     def subset(self, indices) -> "Dataset":
-        """New Dataset restricted to ``indices``; every class must survive."""
-        idx = np.asarray(indices, dtype=np.int64)
+        """New Dataset restricted to ``indices``; every class must survive.
+
+        ``indices`` is integer row indices or a boolean row mask of length
+        ``n_samples``; any other dtype is a ``ValueError``.
+        """
+        idx = np.asarray(indices)
+        if idx.dtype == bool:
+            if idx.shape != (self.n_samples,):
+                raise ValueError(f"boolean row mask has shape {idx.shape}, expected ({self.n_samples},)")
+        elif not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"row indices must be integers or a boolean mask, got dtype {idx.dtype}")
         return Dataset(self.features[idx], self.labels[idx], self.class_names)
 
 

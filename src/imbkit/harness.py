@@ -81,11 +81,44 @@ def partition_regions(ds: Dataset, config: RunConfig) -> region.RegionAssignment
     return region.partition(post, thresholds, ds.labels)
 
 
-def clean(ds: Dataset, assignment: region.RegionAssignment, config: RunConfig) -> np.ndarray:
-    """Row mask of the kept samples: core, the selected non-overlapping and the surviving noisy."""
-    nonoverlap = overlap.sor_all(ds, assignment, z_threshold=config.z_threshold,
-                                 fallback_fraction=config.sor_fallback_fraction,
-                                 keep_mode=config.sor_keep)
+def _shared(memo: dict | None, key: tuple, compute):
+    """``compute()``, run once per ``key`` of ``memo`` and reused after; without a memo, every call.
+
+    The warnings the first run emits are stored and emitted again on every
+    use, so each report lists them where an unshared run would.  A stage that
+    raises stores nothing: every variant meets the error itself.  Every use
+    gets the same objects, so callers must not modify them.
+    """
+    if memo is None:
+        return compute()
+    if key not in memo:
+        caught = []
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                memo[key] = compute(), [w.message for w in caught]
+        finally:
+            if key not in memo:  # it raised: emit what it warned before the error
+                for w in caught:
+                    warnings.warn(w.message)
+    value, messages = memo[key]
+    for message in messages:
+        warnings.warn(message)
+    return value
+
+
+def clean(ds: Dataset, assignment: region.RegionAssignment, config: RunConfig,
+          memo: dict | None = None) -> np.ndarray:
+    """Row mask of the kept samples: core, the selected non-overlapping and the surviving noisy.
+
+    ``memo`` is one fold's shared-stage dict in a sweep (see ``run_cv``).
+    """
+    # sor_all sees the partition (scale, threshold_mode), not noise_remove_fraction
+    nonoverlap = _shared(memo, ("sor_all", config.scale, config.threshold_mode, config.z_threshold,
+                                config.sor_fallback_fraction, config.sor_keep),
+                         lambda: overlap.sor_all(ds, assignment, z_threshold=config.z_threshold,
+                                                 fallback_fraction=config.sor_fallback_fraction,
+                                                 keep_mode=config.sor_keep))
     keep = assignment.tags != region.OVERLAPPING
     keep[region.noise_subset(assignment, config.noise_remove_fraction)] = False
     keep[nonoverlap] = True
@@ -100,32 +133,40 @@ def balance(ds: Dataset, keep: np.ndarray, config: RunConfig,
                                    rng_factory=rng_factory)
 
 
+def _overlap_ratio(ds: Dataset, knn_k: int) -> float | None:
+    """``ds``'s dataset-level overlap ratio; None when it has too few rows for ``knn_k`` neighbours."""
+    return metrics.overlap_ratios(ds, knn_k=knn_k).or_dataset if ds.n_samples >= knn_k + 1 else None
+
+
 def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
-              config: RunConfig, repeat: int, fold: int) -> FoldResult:
+              config: RunConfig, repeat: int, fold: int, memo: dict | None) -> FoldResult:
     seed = config.seed
     result = FoldResult(repeat=repeat, fold=fold, status="ok")
     clock = time.perf_counter
+    shared = None if memo is None else memo.setdefault((repeat, fold), {})
+
+    def split_and_partition():
+        train_ds, test_x = ds.subset(train_idx), ds.features[test_idx]
+        if config.scale:
+            train_ds, test_x = minmax_scale(train_ds, test_x)
+        return train_ds, test_x, partition_regions(train_ds, config)
 
     t0 = clock()
-    train_ds = ds.subset(train_idx)
-    test_x = ds.features[test_idx]
+    train_ds, test_x, assignment = _shared(shared, ("partition", config.scale, config.threshold_mode),
+                                           split_and_partition)
     test_y = ds.labels[test_idx]
-    if config.scale:
-        train_ds, test_x = minmax_scale(train_ds, test_x)
-
-    assignment = partition_regions(train_ds, config)
     result.timings["partition"] = clock() - t0
 
     t0 = clock()
-    keep = clean(train_ds, assignment, config)
+    keep = clean(train_ds, assignment, config, shared)
     result.timings["clean"] = clock() - t0
 
     t0 = clock()
-    if train_ds.n_samples >= config.or_knn_k + 1:
-        result.or_before = metrics.overlap_ratios(train_ds, knn_k=config.or_knn_k).or_dataset
-    cleaned = train_ds.subset(np.flatnonzero(keep))  # raises if cleaning emptied a class
-    if cleaned.n_samples >= config.or_knn_k + 1:
-        result.or_after = metrics.overlap_ratios(cleaned, knn_k=config.or_knn_k).or_dataset
+    result.or_before = _shared(shared, ("or_before", config.scale, config.or_knn_k),
+                               lambda: _overlap_ratio(train_ds, config.or_knn_k))
+    cleaned = train_ds.subset(keep)  # raises if cleaning emptied a class
+    result.or_after = _shared(shared, ("or_after", config.scale, config.or_knn_k, keep.tobytes()),
+                              lambda: _overlap_ratio(cleaned, config.or_knn_k))
     result.timings["overlap_ratio"] = clock() - t0
 
     t0 = clock()
@@ -182,13 +223,19 @@ def _dataset(config: RunConfig, dataset: Dataset | None) -> Dataset:
     return load_csv(config.data_path, config.label_column) if dataset is None else dataset
 
 
-def run_cv(config: RunConfig, dataset: Dataset | None = None) -> ExperimentReport:
+def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
+           memo: dict | None = None) -> ExperimentReport:
     """Repeated stratified cross-validation of the full pipeline.
 
     ``dataset`` may be supplied directly; otherwise it is loaded from the
     config.  The fold plan depends only on the data, ``folds``, ``repeats``
     and ``seed``, so reports with those equal share it.  Deterministic for a
     given config and seed.
+
+    ``memo`` lets reports on the same dataset and fold plan share each fold's
+    split and partition, its ``sor_all`` and its overlap ratios.  Each is
+    stored under ``(repeat, fold)`` and the config fields it reads, so the
+    report's bytes equal those of a run without the memo.
     """
     dataset = _dataset(config, dataset)
     fold_results: list[FoldResult] = []
@@ -199,7 +246,7 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None) -> ExperimentRepor
             for f in range(plan.k):
                 try:
                     result = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
-                                       config, r, f)
+                                       config, r, f, memo)
                 except ValueError as exc:
                     result = FoldResult(repeat=r, fold=f, status="aborted",
                                         reason=f"{type(exc).__name__}: {exc}")
@@ -229,11 +276,13 @@ def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
     """One report per variant's config overrides, on one load of the data.
 
     Every variant's config is built, and so checked, before any variant runs.
-    No variant overrides the fold settings, so all of them share one fold plan.
+    No variant overrides the fold settings, so all of them share one fold plan,
+    and one memo shares each fold's stages that the overrides do not reach.
     """
     configs = {key: replace(config, **overrides) for key, overrides in variants.items()}
     dataset = _dataset(config, dataset)
-    return {key: run_cv(cfg, dataset) for key, cfg in configs.items()}
+    memo = {}
+    return {key: run_cv(cfg, dataset, memo=memo) for key, cfg in configs.items()}
 
 
 def ablate_noise(config: RunConfig, fractions=DEFAULT_NOISE_FRACTIONS,

@@ -40,14 +40,15 @@ def imbalance_ratio(ds):
 def fold_calls(monkeypatch):
     """(config, repeat, fold, train indices, test indices) of each ``harness._run_fold`` call, in order.
 
-    These are the index arrays ``run_cv`` actually hands each fold.
+    These are the index arrays ``run_cv`` actually hands each fold; any further
+    arguments (a sweep's memo) are passed through untouched.
     """
     calls = []
     run_fold = harness._run_fold
 
-    def recording(ds, train_idx, test_idx, config, repeat, fold):
+    def recording(ds, train_idx, test_idx, config, repeat, fold, *rest):
         calls.append((config, repeat, fold, train_idx, test_idx))
-        return run_fold(ds, train_idx, test_idx, config, repeat, fold)
+        return run_fold(ds, train_idx, test_idx, config, repeat, fold, *rest)
 
     monkeypatch.setattr(harness, "_run_fold", recording)
     return calls

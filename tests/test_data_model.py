@@ -89,6 +89,34 @@ class TestDatasetInvariants:
             ds.features[0, 0] = 9.0
 
 
+class TestSubset:
+    def test_boolean_mask_keeps_masked_rows(self, data_dir):
+        ds = load_csv(data_dir / "new-thyroid.csv", "class")
+        keep = np.arange(ds.n_samples) % 3 != 0
+        sub = ds.subset(keep)
+        assert sub.n_samples == int(keep.sum())
+        assert np.array_equal(sub.features, ds.features[keep])
+        assert np.array_equal(sub.labels, ds.labels[keep])
+        assert sub.class_names == ds.class_names
+
+    def test_integer_indices_in_order_given(self):
+        ds = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]), ("a", "b"))
+        sub = ds.subset([2, 1, 2])
+        assert sub.features[:, 0].tolist() == [3.0, 2.0, 3.0]
+        assert sub.labels.tolist() == [0, 1, 0]
+
+    def test_mask_of_wrong_length_rejected(self):
+        ds = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]), ("a", "b"))
+        with pytest.raises(ValueError, match="boolean row mask"):
+            ds.subset(np.array([True, True]))
+
+    @pytest.mark.parametrize("rows", [np.array([0.0, 1.0]), np.array(["0", "1"])])
+    def test_non_integer_dtype_rejected(self, rows):
+        ds = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1, 0]), ("a", "b"))
+        with pytest.raises(ValueError, match="integers or a boolean mask"):
+            ds.subset(rows)
+
+
 class TestImbalanceRatio:
     def test_balanced(self):
         ds = Dataset(np.zeros((100, 1)), np.repeat([0, 1], 50), ("a", "b"))

@@ -1,12 +1,13 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from imbkit import harness
+from imbkit import harness, metrics, overlap
 from imbkit.config import RunConfig, config_from_dict, load_config_file, merge_config
-from imbkit.data_model import Dataset, load_csv, stratified_folds
+from imbkit.data_model import Dataset, PipelineWarning, load_csv, stratified_folds
 from imbkit.harness import (ExperimentReport, FoldResult, ablate_components, ablate_noise, clean,
                             emit_report, partition_regions, report_csv_rows, run_cv)
 from imbkit.overlap import gap_profile, select_non_overlapping
@@ -212,6 +213,90 @@ class TestAblations:
     def test_bad_fraction_rejected(self, separable_ds):
         with pytest.raises(ValueError):
             ablate_noise(RunConfig(seed=0, **FAST), fractions=(0.0, 1.5), dataset=separable_ds)
+
+
+SHARED_STAGES = ((harness, "partition_regions"), (overlap, "sor_all"), (metrics, "overlap_ratios"))
+N_FOLDS = FAST["folds"] * FAST["repeats"]
+
+
+def report_bytes(rep, path):
+    emit_report(rep, path)
+    return path.read_bytes()
+
+
+def patch_stage(monkeypatch, module, name, before=lambda: None):
+    """Replace ``module.name`` by a wrapper that calls ``before()`` first; returns its call list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        before()
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSweepSharing:
+    """A sweep runs each fold's variant-independent stages once, and every report keeps its bytes."""
+
+    SWEEPS = {"noise": lambda cfg, ds: ablate_noise(cfg, dataset=ds),
+              "components": lambda cfg, ds: ablate_components(cfg, dataset=ds)}
+
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_variants_equal_standalone_runs_and_share_stages(self, tmp_path, monkeypatch, fold_calls,
+                                                             overlapping_imbalanced_ds, sweep, scale):
+        ds = overlapping_imbalanced_ds
+        calls = {name: patch_stage(monkeypatch, module, name) for module, name in SHARED_STAGES}
+        keeps = []
+        clean_fn = harness.clean
+        monkeypatch.setattr(harness, "clean", lambda *a: keeps.append(clean_fn(*a)) or keeps[-1])
+
+        reports = self.SWEEPS[sweep](RunConfig(seed=2, scale=scale, **FAST), ds)
+        assert len(reports) == (len(harness.DEFAULT_NOISE_FRACTIONS) if sweep == "noise" else 3)
+        assert len(keeps) == len(fold_calls) == N_FOLDS * len(reports)
+        masks = {(r, f, keep.tobytes()) for (_, r, f, _, _), keep in zip(fold_calls, keeps)}
+        if sweep == "noise":  # the fractions must give different masks, or or_after shares trivially
+            assert len(masks) > N_FOLDS
+        assert len(calls["partition_regions"]) == N_FOLDS
+        assert len(calls["sor_all"]) == N_FOLDS
+        assert len(calls["overlap_ratios"]) == N_FOLDS + len(masks)  # or_before, then or_after
+
+        for key, rep in reports.items():
+            assert not rep.partial
+            standalone = run_cv(rep.config, dataset=ds)
+            assert (report_bytes(rep, tmp_path / "sweep.json")
+                    == report_bytes(standalone, tmp_path / "run.json")), key
+
+    @pytest.mark.parametrize("module,name", SHARED_STAGES)
+    def test_shared_stage_warning_listed_in_every_variant(self, monkeypatch, overlapping_imbalanced_ds,
+                                                          module, name):
+        ds = overlapping_imbalanced_ds
+        calls = patch_stage(monkeypatch, module, name,
+                            lambda: warnings.warn(f"from {name}", PipelineWarning))
+        reports = ablate_components(RunConfig(seed=2, **FAST), dataset=ds)
+        per_fold = 2 if name == "overlap_ratios" else 1  # or_before and or_after
+        assert len(calls) == N_FOLDS * per_fold
+        for key, rep in reports.items():
+            assert rep.warnings.count(f"PipelineWarning: from {name}") == N_FOLDS * per_fold, key
+            assert rep.warnings == run_cv(rep.config, dataset=ds).warnings, key
+
+    @pytest.mark.parametrize("module,name", SHARED_STAGES)
+    def test_shared_stage_error_aborts_fold_in_every_variant(self, monkeypatch,
+                                                             overlapping_imbalanced_ds, module, name):
+        def fail():
+            warnings.warn(f"before {name} fails", PipelineWarning)
+            raise ValueError(f"{name} failed")
+
+        calls = patch_stage(monkeypatch, module, name, fail)
+        reports = ablate_components(RunConfig(seed=2, **FAST), dataset=overlapping_imbalanced_ds)
+        assert len(calls) == N_FOLDS * len(reports)  # a failure is not stored
+        for key, rep in reports.items():
+            assert [(fr.status, fr.reason) for fr in rep.folds] == \
+                [("aborted", f"ValueError: {name} failed")] * N_FOLDS, key
+            assert rep.warnings.count(f"PipelineWarning: before {name} fails") == N_FOLDS, key
 
 
 class TestEmitReport:
