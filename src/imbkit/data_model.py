@@ -116,6 +116,8 @@ def load_csv(path, label_column) -> Dataset:
             li = header.index(label_column)
 
         feat_cols = [i for i in range(len(header)) if i != li]
+        if not feat_cols:
+            raise DataFormatError(f"{p}: no feature column, only the label column {header[li]!r}")
         rows, labels_raw = [], []
         for rownum, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):

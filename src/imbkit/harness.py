@@ -81,7 +81,7 @@ def partition_regions(ds: Dataset, config: RunConfig) -> region.RegionAssignment
     return region.partition(post, thresholds, ds.labels)
 
 
-def _shared(memo: dict | None, key: tuple, compute):
+def _shared(memo: dict | None, key: str | tuple, compute):
     """``compute()``, run once per ``key`` of ``memo`` and reused after; without a memo, every call.
 
     The warnings the first run emits are stored and emitted again on every
@@ -108,14 +108,13 @@ def _shared(memo: dict | None, key: tuple, compute):
 
 
 def clean(ds: Dataset, assignment: region.RegionAssignment, config: RunConfig,
-          memo: dict | None = None) -> np.ndarray:
+          _memo: dict | None = None) -> np.ndarray:
     """Row mask of the kept samples: core, the selected non-overlapping and the surviving noisy.
 
-    ``memo`` is one fold's shared-stage dict in a sweep (see ``run_cv``).
+    ``_memo`` is internal: a sweep passes one fold's shared stages, so the
+    fold's ``sor_all`` runs once for all its variants (see ``_sweep``).
     """
-    # sor_all sees the partition (scale, threshold_mode), not noise_remove_fraction
-    nonoverlap = _shared(memo, ("sor_all", config.scale, config.threshold_mode, config.z_threshold,
-                                config.sor_fallback_fraction, config.sor_keep),
+    nonoverlap = _shared(_memo, "sor_all",
                          lambda: overlap.sor_all(ds, assignment, z_threshold=config.z_threshold,
                                                  fallback_fraction=config.sor_fallback_fraction,
                                                  keep_mode=config.sor_keep))
@@ -152,8 +151,7 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
         return train_ds, test_x, partition_regions(train_ds, config)
 
     t0 = clock()
-    train_ds, test_x, assignment = _shared(shared, ("partition", config.scale, config.threshold_mode),
-                                           split_and_partition)
+    train_ds, test_x, assignment = _shared(shared, "partition", split_and_partition)
     test_y = ds.labels[test_idx]
     result.timings["partition"] = clock() - t0
 
@@ -162,20 +160,16 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     result.timings["clean"] = clock() - t0
 
     t0 = clock()
-    result.or_before = _shared(shared, ("or_before", config.scale, config.or_knn_k),
-                               lambda: _overlap_ratio(train_ds, config.or_knn_k))
+    result.or_before = _shared(shared, "or_before", lambda: _overlap_ratio(train_ds, config.or_knn_k))
     cleaned = train_ds.subset(keep)  # raises if cleaning emptied a class
-    result.or_after = _shared(shared, ("or_after", config.scale, config.or_knn_k, keep.tobytes()),
+    result.or_after = _shared(shared, ("or_after", keep.tobytes()),
                               lambda: _overlap_ratio(cleaned, config.or_knn_k))
     result.timings["overlap_ratio"] = clock() - t0
 
     t0 = clock()
-    if config.use_balancing:
-        balanced = balance(train_ds, keep, config,
-                           lambda c: rng_for(seed, "omrp", repeat, fold, c)).dataset
-        data_x, data_y = balanced.features, balanced.labels
-    else:
-        data_x, data_y = cleaned.features, cleaned.labels
+    training = (balance(train_ds, keep, config, lambda c: rng_for(seed, "omrp", repeat, fold, c)).dataset
+                if config.use_balancing else cleaned)
+    data_x, data_y = training.features, training.labels
     result.timings["balance"] = clock() - t0
 
     t0 = clock()
@@ -224,7 +218,7 @@ def _dataset(config: RunConfig, dataset: Dataset | None) -> Dataset:
 
 
 def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
-           memo: dict | None = None) -> ExperimentReport:
+           _memo: dict | None = None) -> ExperimentReport:
     """Repeated stratified cross-validation of the full pipeline.
 
     ``dataset`` may be supplied directly; otherwise it is loaded from the
@@ -232,10 +226,7 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
     and ``seed``, so reports with those equal share it.  Deterministic for a
     given config and seed.
 
-    ``memo`` lets reports on the same dataset and fold plan share each fold's
-    split and partition, its ``sor_all`` and its overlap ratios.  Each is
-    stored under ``(repeat, fold)`` and the config fields it reads, so the
-    report's bytes equal those of a run without the memo.
+    ``_memo`` is internal: ``_sweep`` passes one to share each fold's early stages.
     """
     dataset = _dataset(config, dataset)
     fold_results: list[FoldResult] = []
@@ -246,7 +237,7 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
             for f in range(plan.k):
                 try:
                     result = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
-                                       config, r, f, memo)
+                                       config, r, f, _memo)
                 except ValueError as exc:
                     result = FoldResult(repeat=r, fold=f, status="aborted",
                                         reason=f"{type(exc).__name__}: {exc}")
@@ -271,18 +262,24 @@ COMPONENT_VARIANTS = {
     "full": {"use_balancing": True, "use_pruning": True},
 }
 
+VARIANT_FIELDS = ("noise_remove_fraction", "use_balancing", "use_pruning")
+
 
 def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
     """One report per variant's config overrides, on one load of the data.
 
+    A variant may override only ``VARIANT_FIELDS``, which no stage before noise
+    removal reads, so each fold's earlier stages run once per sweep: a memo
+    private to the sweep holds them under the fold and the stage alone.
     Every variant's config is built, and so checked, before any variant runs.
-    No variant overrides the fold settings, so all of them share one fold plan,
-    and one memo shares each fold's stages that the overrides do not reach.
     """
+    fixed = sorted(set().union(*variants.values()) - set(VARIANT_FIELDS))
+    if fixed:
+        raise ValueError(f"a sweep variant may set only {', '.join(VARIANT_FIELDS)}, not {', '.join(fixed)}")
     configs = {key: replace(config, **overrides) for key, overrides in variants.items()}
     dataset = _dataset(config, dataset)
     memo = {}
-    return {key: run_cv(cfg, dataset, memo=memo) for key, cfg in configs.items()}
+    return {key: run_cv(cfg, dataset, _memo=memo) for key, cfg in configs.items()}
 
 
 def ablate_noise(config: RunConfig, fractions=DEFAULT_NOISE_FRACTIONS,

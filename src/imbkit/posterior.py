@@ -47,9 +47,10 @@ class PosteriorMatrix:
 
     def __post_init__(self):
         v = self.values
-        if np.any(v < 0) or np.any(v > 1):
-            raise ValueError("posterior entries must lie in [0, 1]")
-        if np.any(np.abs(v.sum(axis=1) - 1.0) > 1e-9):
+        # written so that NaN fails: every comparison with NaN is False
+        if not np.all((v >= 0) & (v <= 1)):
+            raise ValueError("posterior entries must lie in [0, 1] and not be NaN")
+        if not np.all(np.abs(v.sum(axis=1) - 1.0) <= 1e-9):
             raise ValueError("posterior rows must sum to 1 within 1e-9")
 
 

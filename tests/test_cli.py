@@ -119,6 +119,13 @@ class TestRunCommand:
         rc = main(["run", "--data", str(tmp_path / "ghost.csv"), "--label-col", "class"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_label_column_only_is_hard_error(self, tmp_path, capsys, command):
+        data = tmp_path / "labels.csv"
+        data.write_text("class\na\nb\na\nb\n", encoding="utf-8")
+        assert main([command, "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+        assert "labels.csv: no feature column" in capsys.readouterr().err
+
     def test_no_data_flag_is_hard_error(self, capsys):
         assert main(["run"]) == 2
         assert "--data" in capsys.readouterr().err

@@ -59,6 +59,11 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="label column"):
             load_csv(p, "class")
 
+    def test_label_column_only(self, tmp_path):
+        p = write_csv(tmp_path, "class\na\nb\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv: no feature column"):
+            load_csv(p, "class")
+
     def test_fewer_than_two_classes(self, tmp_path):
         p = write_csv(tmp_path, "x,class\n1,a\n2,a\n")
         with pytest.raises(DataFormatError, match="at least 2"):

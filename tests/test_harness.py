@@ -102,6 +102,16 @@ class TestRunCv:
         # completed folds still report metrics
         assert any(fr.status == "ok" and fr.metrics for fr in rep.folds)
 
+    def test_nan_posteriors_abort_fold_at_partition(self):
+        # a feature at 1e160 overflows its variance, so every posterior is NaN:
+        # the partition must reject them, not tag every row noisy for the cleaning
+        ds = make_blobs([(0.0, 0.0), (3.0, 3.0)], [30, 30], seed=0)
+        ds = Dataset(ds.features * [1e160, 1.0], ds.labels, ds.class_names)
+        rep = run_cv(RunConfig(seed=0, **FAST), dataset=ds)
+        assert rep.partial
+        assert all(fr.status == "aborted" and fr.reason.startswith("ValueError: posterior entries")
+                   for fr in rep.folds)
+
     def test_programming_error_propagates(self, monkeypatch, separable_ds):
         def broken(*args):
             raise TypeError("broken stage")
@@ -213,6 +223,15 @@ class TestAblations:
     def test_bad_fraction_rejected(self, separable_ds):
         with pytest.raises(ValueError):
             ablate_noise(RunConfig(seed=0, **FAST), fractions=(0.0, 1.5), dataset=separable_ds)
+
+    @pytest.mark.parametrize("overrides", [{"seed": 1}, {"scale": True},
+                                           {"use_pruning": False, "or_knn_k": 3}])
+    def test_sweep_rejects_fields_outside_variant_fields(self, separable_ds, fold_calls, overrides):
+        # the sweep's memo is keyed by the fold alone, so no variant may change an earlier stage
+        field = next(name for name in overrides if name not in harness.VARIANT_FIELDS)
+        with pytest.raises(ValueError, match=field):
+            harness._sweep(RunConfig(seed=0, **FAST), {"a": {}, "b": overrides}, separable_ds)
+        assert fold_calls == []
 
 
 SHARED_STAGES = ((harness, "partition_regions"), (overlap, "sor_all"), (metrics, "overlap_ratios"))

@@ -124,3 +124,7 @@ class TestPosteriorMatrixInvariants:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             PosteriorMatrix(values=np.array([[1.2, -0.2]]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            PosteriorMatrix(values=np.array([[np.nan, np.nan], [0.5, 0.5]]))
