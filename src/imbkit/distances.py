@@ -4,26 +4,36 @@ from __future__ import annotations
 
 import numpy as np
 
-NEAREST_BLOCK = 64  # rows per block in ``nearest``; bounds its temporaries to 64 x n
+NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and ``nearest``; bounds their temporaries to 64 x n
 
 
 def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances via the inner-product identity."""
+    """(len(a), len(b)) squared Euclidean distances via the inner-product identity.
+
+    ``a @ b.T`` is the only (len(a), len(b)) array: the rest of
+    ``aa + bb - 2.0 * (a @ b.T)``, clipped at 0, runs in place on it per row
+    block, with the same operations in the same order, so every cell equals
+    the whole-matrix formula's.  The product is one call on the caller's own
+    operands, since for ``a is b`` numpy takes a symmetric (SYRK) path whose
+    cells differ from the general product's.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    # same operations, in the same order, as aa + bb - 2.0 * (a @ b.T), but with
-    # two (len(a), len(b)) temporaries alive at once instead of three
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    cross = a @ b.T
-    cross *= 2.0
-    sq -= cross
-    del cross
-    np.maximum(sq, 0.0, out=sq)  # clip the tiny negatives the identity can produce
+    aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)
+    sq = a @ b.T
+    for start in range(0, sq.shape[0], NEAREST_BLOCK):
+        block = sq[start:start + NEAREST_BLOCK]
+        block *= 2.0
+        np.subtract(aa[start:start + NEAREST_BLOCK, None] + bb, block, out=block)
+        np.maximum(block, 0.0, out=block)  # clip the tiny negatives the identity can produce
     return sq
 
 
 def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(pairwise_sq(a, b))
+    """(len(a), len(b)) Euclidean distances, square-rooted in ``pairwise_sq``'s own array."""
+    sq = pairwise_sq(a, b)
+    return np.sqrt(sq, out=sq)
 
 
 def min_dist(points: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -64,7 +64,7 @@ def gap_profile(ds: Dataset, assignment: RegionAssignment, class_id: int,
     if ref.size == 0:
         raise ValueError(f"no other-class core/overlap samples to reference for class {class_id}")
 
-    med = np.median(pairwise(ds.features[own], ds.features[ref]), axis=1)
+    med = np.median(pairwise(ds.features[own], ds.features[ref]), axis=1, overwrite_input=True)
     order = np.lexsort((own, med))
     ordered, dists = own[order], med[order]
     gaps, mu, sigma, z, jump = gap_statistics(dists, z_threshold)

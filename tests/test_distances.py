@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbkit.data_model import load_csv
-from imbkit.distances import NEAREST_BLOCK, nearest, pairwise_sq
+from imbkit.data_model import load_csv, minmax_scale
+from imbkit.distances import NEAREST_BLOCK, min_dist, nearest, pairwise, pairwise_sq
 from imbkit.learners import KNNClassifier
 from imbkit.metrics import overlap_ratios
+from imbkit.overlap import gap_profile
+from imbkit.region import CORE, OVERLAPPING, RegionAssignment
 from imbkit.resample import _neighbor_table
 from tests.conftest import make_blobs
 
@@ -126,3 +130,94 @@ class TestCallersMatchArgsortOracle:
         nb = argsort_oracle(pairwise_sq(x[query], x[train]), k)
         ref = [int(np.argmax(np.bincount(y[train][row], minlength=n))) for row in nb]
         assert clf.predict(x[query]).tolist() == ref
+
+
+def identity_oracle(a, b):
+    """The whole-matrix identity ``pairwise_sq`` must match cell for cell.
+
+    ``a @ b.T`` is called on the caller's own objects, so ``a is b`` takes the
+    same symmetric product path as in ``pairwise_sq``.
+    """
+    aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)
+    return np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
+
+
+ROW_COUNTS = (1, NEAREST_BLOCK - 1, NEAREST_BLOCK, NEAREST_BLOCK + 1, 3 * NEAREST_BLOCK + 5)
+
+
+@pytest.fixture(scope="module", params=["raw", "scaled"])
+def vehicle_features(request, data_dir):
+    ds = load_csv(data_dir / "vehicle.csv", "class")
+    return (minmax_scale(ds)[0] if request.param == "scaled" else ds).features
+
+
+class TestPairwiseCells:
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_self_distances_equal_the_identity(self, vehicle_features, rows):
+        a = vehicle_features[:rows]
+        got = pairwise_sq(a, a)
+        assert got.shape == (rows, rows)
+        assert np.array_equal(got, identity_oracle(a, a))
+        assert np.array_equal(pairwise(a, a), np.sqrt(identity_oracle(a, a)))
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_query_against_train_equals_the_identity(self, vehicle_features, rows):
+        query, train = vehicle_features[-rows:], vehicle_features[:500]
+        got = pairwise_sq(query, train)
+        assert got.shape == (rows, 500)
+        assert np.array_equal(got, identity_oracle(query, train))
+        assert np.array_equal(pairwise(query, train), np.sqrt(identity_oracle(query, train)))
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated by ``fn(*args)`` at its peak, above what was live before the call.
+
+    One untraced call comes first, so lazy imports (``np.median`` imports
+    ``numpy.ma`` on first use) do not count.
+    """
+    fn(*args)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneDistanceMatrixPerCall:
+    """Every distance caller holds at most one (m, n) float64 array at a time."""
+
+    BOUND = 1.25  # in units of one (m, n) float64 matrix
+
+    @pytest.fixture(scope="class")
+    def mixture(self):
+        return make_blobs([(0.0,) * 10, (1.0,) * 10, (2.0,) * 10], [1000, 350, 150], seed=4)
+
+    @pytest.mark.parametrize("fn", [pairwise_sq, pairwise, min_dist])
+    def test_kernels(self, mixture, fn):
+        x = mixture.features
+        assert traced_peak(fn, x, x) <= self.BOUND * x.shape[0] ** 2 * 8
+
+    def test_overlap_ratios(self, mixture):
+        assert traced_peak(overlap_ratios, mixture, 5) <= self.BOUND * mixture.n_samples ** 2 * 8
+
+    def test_knn_predict(self, mixture):
+        x, y = mixture.features, mixture.labels
+        clf = KNNClassifier(k=3).fit(x[::2], y[::2], mixture.n_classes)
+        assert traced_peak(clf.predict, x) <= self.BOUND * x.shape[0] * x[::2].shape[0] * 8
+
+    def test_neighbor_table(self, mixture):
+        x = mixture.features
+        assert traced_peak(_neighbor_table, x, 5) <= self.BOUND * x.shape[0] ** 2 * 8
+
+    def test_gap_profile(self, mixture):
+        # class 0 all overlapping, the rest core: a 1000 x 500 median-distance matrix
+        labels = mixture.labels
+        tags = np.where(labels == 0, OVERLAPPING, CORE)
+        assignment = RegionAssignment(tags=tags, max_own_posterior=np.ones(labels.size), labels=labels)
+        own = np.count_nonzero(labels == 0)
+        peak = traced_peak(gap_profile, mixture, assignment, 0)
+        assert peak <= self.BOUND * own * (labels.size - own) * 8
