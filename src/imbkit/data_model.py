@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,7 +133,7 @@ def load_csv(path, label_column) -> Dataset:
                 except ValueError:
                     raise DataFormatError(
                         f"{p}: row {rownum}, column {header[i]!r}: cannot parse {cell!r} as a number")
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise DataFormatError(f"{p}: row {rownum}, column {header[i]!r}: non-finite value {cell!r}")
                 vals.append(v)
             rows.append(vals)

@@ -1,4 +1,8 @@
-"""Exact Euclidean distance helpers shared by the distance-based stages."""
+"""Euclidean distances by the inner-product identity, and exact k-nearest selection on them.
+
+The identity's cells carry its rounding (a tiny non-zero for two equal rows),
+so they are not exact differences; ``nearest`` is exact on the cells it gets.
+"""
 
 from __future__ import annotations
 
@@ -46,10 +50,11 @@ def nearest(sq: np.ndarray, k: int) -> np.ndarray:
 
     Equal to ``np.argsort(sq, axis=1, kind="stable")[:, :k]`` with ``k`` clamped
     to the row length, so ties fall to the lower index, for any NaN-free ``sq``
-    (``inf`` allowed).  Rows are taken in blocks of ``NEAREST_BLOCK``: in each
-    block ``argpartition`` shortlists k columns whose largest value is the k-th
-    smallest; rows holding more than k entries ``<=`` that value keep every
-    entry below it and then the equal entries in index order.
+    (``inf`` allowed).  Per ``NEAREST_BLOCK`` rows, the columns form ``min(n, 4k)``
+    contiguous groups (the last one takes the remainder), and a row's k-th
+    smallest group minimum bounds it: those k minima are k distinct entries at
+    or below it, so the row's first k in (value, index) order all lie ``<=`` it.
+    These candidates are sorted by (row, value, index); each row keeps its first k.
     """
     sq = np.asarray(sq)
     m, n = sq.shape
@@ -57,19 +62,14 @@ def nearest(sq: np.ndarray, k: int) -> np.ndarray:
     out = np.empty((m, k), dtype=np.intp)
     if k == 0:
         return out
+    g = min(n, 4 * k)  # 4k, not k, groups: with k the bound admits far more candidates on class-sorted rows
+    edges = np.arange(g) * (n // g)
     for start in range(0, m, NEAREST_BLOCK):
         block = sq[start:start + NEAREST_BLOCK]
-        cols = np.argpartition(block, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(block, cols, axis=1).max(axis=1)[:, None]
-        tied = np.flatnonzero(np.count_nonzero(block <= kth, axis=1) > k)
-        if tied.size:
-            rows, row_kth = block[tied], kth[tied]
-            below = rows < row_kth
-            equal = rows == row_kth
-            room = k - np.count_nonzero(below, axis=1)[:, None]
-            keep = below | (equal & (np.cumsum(equal, axis=1) <= room))
-            cols[tied] = np.nonzero(keep)[1].reshape(tied.size, k)
-        vals = np.take_along_axis(block, cols, axis=1)
-        order = np.lexsort((cols, vals), axis=1)
-        out[start:start + NEAREST_BLOCK] = np.take_along_axis(cols, order, axis=1)
+        bound = np.partition(np.minimum.reduceat(block, edges, axis=1), k - 1, axis=1)[:, k - 1, None]
+        flat = np.flatnonzero(block <= bound)  # row-major, so already in (row, index) order
+        row = flat // n
+        flat = flat[np.lexsort((block.ravel()[flat], row))]  # stable: equal values keep index order
+        first = np.searchsorted(row, np.arange(block.shape[0]))
+        out[start:start + NEAREST_BLOCK] = flat[first[:, None] + np.arange(k)] % n
     return out

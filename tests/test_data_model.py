@@ -54,6 +54,12 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=r"row 3.*'y'.*'abc'"):
             load_csv(p, "class")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        p = write_csv(tmp_path, f"x,y,class\n1,2,a\n1,{cell},b\n")
+        with pytest.raises(DataFormatError, match=rf"row 3, column 'y': non-finite value '{cell}'"):
+            load_csv(p, "class")
+
     def test_label_column_absent(self, tmp_path):
         p = write_csv(tmp_path, "x,y\n1,2\n")
         with pytest.raises(DataFormatError, match="label column"):

@@ -75,6 +75,69 @@ class TestNearest:
         assert np.array_equal(nearest(sq, 3), argsort_oracle(sq, 3))
 
 
+@st.composite
+def wide_matrices(draw):
+    """Rows wide enough that the column groups are wider than 1 and the last one takes a remainder."""
+    m = draw(st.integers(1, NEAREST_BLOCK + 5))
+    n = draw(st.integers(1, 400))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    sq = rng.integers(0, draw(st.integers(1, 50)), size=(m, n)).astype(np.float64)
+    sq[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = np.inf
+    k = draw(st.integers(0, 12) | st.integers(0, n + 2))
+    return sq, k
+
+
+class TestCandidateBound:
+    """``nearest`` keeps only entries at or below a bound taken from column-group minima."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_matrices())
+    def test_wide_rows_equal_stable_argsort(self, case):
+        sq, k = case
+        assert np.array_equal(nearest(sq, k), argsort_oracle(sq, k))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_k_nearest_in_one_column_group(self, k):
+        # class-sorted points on a line: each row's neighbours are adjacent columns
+        x = np.sort(np.random.default_rng(2).normal(size=(400, 1)), axis=0)
+        sq = pairwise_sq(x, x)
+        np.fill_diagonal(sq, np.inf)
+        ref = argsort_oracle(sq, k)
+        groups = np.minimum(ref // (400 // (4 * k)), 4 * k - 1)  # the last group takes the remainder
+        assert np.mean(np.all(groups == groups[:, :1], axis=1)) > 0.5
+        assert np.array_equal(nearest(sq, k), ref)
+
+    @pytest.mark.parametrize("k", [1, 4, 37, 100])
+    def test_all_inf_and_all_equal_rows(self, k):
+        rng = np.random.default_rng(k)
+        sq = rng.integers(0, 3, size=(NEAREST_BLOCK + 9, 100)).astype(np.float64)
+        sq[::3] = np.inf
+        sq[1::3] = 2.0
+        assert np.array_equal(nearest(sq, k), argsort_oracle(sq, k))
+        for fill in (np.inf, 0.0):
+            assert nearest(np.full((5, 100), fill), k).tolist() == [list(range(k))] * 5
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 129])
+    def test_k_equal_to_row_length(self, n):
+        sq = np.random.default_rng(n).integers(0, 4, size=(NEAREST_BLOCK + 3, n)).astype(np.float64)
+        sq[:, n // 2] = np.inf
+        assert np.array_equal(nearest(sq, n), np.argsort(sq, axis=1, kind="stable"))
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaled"])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_whole_contraceptive_matrix(self, data_dir, scaled, k):
+        # duplicate rows tie: 69 % of raw rows and 14 % of min-max scaled rows
+        # have more than 3 entries at or below their 3rd-nearest distance
+        ds = load_csv(data_dir / "contraceptive.csv", "class")
+        x = (minmax_scale(ds)[0] if scaled else ds).features
+        sq = pairwise_sq(x, x)
+        np.fill_diagonal(sq, np.inf)
+        kth = np.sort(sq, axis=1)[:, k - 1:k]
+        assert np.count_nonzero(np.count_nonzero(sq <= kth, axis=1) > k) > 100
+        assert np.array_equal(nearest(sq, k), argsort_oracle(sq, k))
+
+
 def overlap_ratios_reference(ds, knn_k):
     """The overlap ratios computed by a full stable sort and a per-sample loop."""
     n = ds.n_classes
