@@ -2,6 +2,10 @@
 
 The identity's cells carry its rounding (a tiny non-zero for two equal rows),
 so they are not exact differences; ``nearest`` is exact on the cells it gets.
+Each cell is the identity on its own ``NEAREST_BLOCK``-row block of ``a``, so
+slicing ``a`` at a multiple of that block leaves every cell unchanged.  The
+row-reducing callers (``min_dist`` here, the overlap ratios in ``metrics``)
+use that to hold at most ``CHUNK_CELLS`` cells at a time, never m x n.
 """
 
 from __future__ import annotations
@@ -9,29 +13,43 @@ from __future__ import annotations
 import numpy as np
 
 NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and ``nearest``; bounds their temporaries to 64 x n
+CHUNK_CELLS = 2**18  # cells (2 MB) per ``pairwise_sq`` call of a row-reducing caller
 
 
 def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances via the inner-product identity.
 
-    ``a @ b.T`` is the only (len(a), len(b)) array: the rest of
-    ``aa + bb - 2.0 * (a @ b.T)``, clipped at 0, runs in place on it per row
-    block, with the same operations in the same order, so every cell equals
-    the whole-matrix formula's.  The product is one call on the caller's own
-    operands, since for ``a is b`` numpy takes a symmetric (SYRK) path whose
-    cells differ from the general product's.
+    Per ``NEAREST_BLOCK`` row block of ``a``, the product ``a[block] @ b.T`` is
+    its own general matrix product (GEMM), written straight into the result,
+    and ``aa + bb - 2.0 * product``, clipped at 0, runs in place on it while it
+    is still in cache.  So ``a @ a.T`` never takes numpy's symmetric (SYRK)
+    path, except for a self-product of at most one block, where the block's
+    product is the whole ``a @ a.T``.  A cell depends only on its own block, so
+    ``pairwise_sq(a[s:e], b)`` equals ``pairwise_sq(a, b)[s:e]`` bit for bit
+    when ``s`` is a multiple of ``NEAREST_BLOCK`` and ``e`` is too or is ``len(a)``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     aa = (a * a).sum(axis=1)
     bb = (b * b).sum(axis=1)
-    sq = a @ b.T
+    sq = np.empty((a.shape[0], b.shape[0]))
     for start in range(0, sq.shape[0], NEAREST_BLOCK):
-        block = sq[start:start + NEAREST_BLOCK]
+        rows = slice(start, start + NEAREST_BLOCK)
+        block = np.matmul(a[rows], b.T, out=sq[rows])
         block *= 2.0
-        np.subtract(aa[start:start + NEAREST_BLOCK, None] + bb, block, out=block)
+        np.subtract(aa[rows, None] + bb, block, out=block)
         np.maximum(block, 0.0, out=block)  # clip the tiny negatives the identity can produce
     return sq
+
+
+def row_chunks(m: int, n: int) -> list:
+    """Row slices of an (m, n) distance matrix for a caller that reduces it row by row.
+
+    Each starts at a multiple of ``NEAREST_BLOCK`` (so its cells equal the whole
+    matrix's) and holds at most ``CHUNK_CELLS`` cells, or one block if a block is wider.
+    """
+    step = NEAREST_BLOCK * max(1, CHUNK_CELLS // (NEAREST_BLOCK * max(n, 1)))
+    return [slice(start, min(start + step, m)) for start in range(0, m, step)]
 
 
 def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -41,8 +59,11 @@ def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def min_dist(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Per-point distance to the nearest reference sample."""
-    return np.sqrt(pairwise_sq(points, reference).min(axis=1))
+    """Per-point distance to the nearest reference sample, over ``row_chunks`` of the points."""
+    out = np.empty(len(points))
+    for rows in row_chunks(len(points), len(reference)):
+        out[rows] = pairwise_sq(points[rows], reference).min(axis=1)
+    return np.sqrt(out, out=out)
 
 
 def nearest(sq: np.ndarray, k: int) -> np.ndarray:

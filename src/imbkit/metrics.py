@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, PipelineWarning
-from .distances import nearest, pairwise_sq
+from .distances import nearest, pairwise_sq, row_chunks
 from .learners import count_votes
 
 
@@ -123,9 +123,14 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
     if m < knn_k + 1:
         raise ValueError(f"need at least knn_k+1={knn_k + 1} samples, have {m}")
     n = ds.n_classes
-    sq = pairwise_sq(ds.features, ds.features)
-    np.fill_diagonal(sq, np.inf)
-    nb_labels = ds.labels[nearest(sq, knn_k)]
+    nb = np.empty((m, knn_k), dtype=np.intp)
+    for rows in row_chunks(m, m):  # one chunk's distances at a time, never m x m
+        sq = pairwise_sq(ds.features[rows], ds.features)
+        np.fill_diagonal(sq[:, rows], np.inf)  # the chunk's own rows
+        nb[rows] = nearest(sq, knn_k)
+        del sq  # freed before the next chunk: two alive at once can push the heap past
+        # malloc's trim threshold, and every call then faults its pages in again
+    nb_labels = ds.labels[nb]
     foreign = nb_labels != ds.labels[:, None]
     flagged = np.flatnonzero(foreign.sum(axis=1) >= int(np.ceil(knn_k / 2)))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbkit.data_model import load_csv, minmax_scale
-from imbkit.distances import NEAREST_BLOCK, min_dist, nearest, pairwise, pairwise_sq
+from imbkit.distances import NEAREST_BLOCK, min_dist, nearest, pairwise, pairwise_sq, row_chunks
 from imbkit.learners import KNNClassifier
 from imbkit.metrics import overlap_ratios
 from imbkit.overlap import gap_profile
@@ -196,14 +196,19 @@ class TestCallersMatchArgsortOracle:
 
 
 def identity_oracle(a, b):
-    """The whole-matrix identity ``pairwise_sq`` must match cell for cell.
+    """The identity ``pairwise_sq`` must match cell for cell: on each
+    ``NEAREST_BLOCK``-row block of ``a`` against the whole of ``b``.
 
-    ``a @ b.T`` is called on the caller's own objects, so ``a is b`` takes the
-    same symmetric product path as in ``pairwise_sq``.
+    Each block's product is called on a slice of the caller's own ``a``, so a
+    self-product of at most one block takes the same symmetric path as in
+    ``pairwise_sq``.  A whole-matrix oracle would not do: GEMM cells depend on
+    the product's row count, and it differs on the scaled 65- and 197-row cases.
     """
     aa = (a * a).sum(axis=1)
     bb = (b * b).sum(axis=1)
-    return np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
+    return np.vstack([
+        np.maximum(aa[s:s + NEAREST_BLOCK, None] + bb[None, :] - 2.0 * (a[s:s + NEAREST_BLOCK] @ b.T), 0.0)
+        for s in range(0, a.shape[0], NEAREST_BLOCK)])
 
 
 ROW_COUNTS = (1, NEAREST_BLOCK - 1, NEAREST_BLOCK, NEAREST_BLOCK + 1, 3 * NEAREST_BLOCK + 5)
@@ -233,6 +238,63 @@ class TestPairwiseCells:
         assert np.array_equal(pairwise(query, train), np.sqrt(identity_oracle(query, train)))
 
 
+@st.composite
+def aligned_row_slices(draw):
+    """A matrix, a start at a multiple of ``NEAREST_BLOCK`` and an end at one or at the last row."""
+    m = draw(st.integers(1, 4 * NEAREST_BLOCK + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((m, draw(st.integers(1, 20))))
+    if draw(st.booleans()):  # coarse values: many equal rows and distances
+        a = np.round(a * 3.0)
+    start = NEAREST_BLOCK * draw(st.integers(0, (m - 1) // NEAREST_BLOCK))
+    stop = draw(st.sampled_from([*range(start + NEAREST_BLOCK, m, NEAREST_BLOCK), m]))
+    return a, start, stop
+
+
+class TestRowSlicing:
+    """A cell depends only on its own row block, so aligned row slices keep every cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(aligned_row_slices(), st.booleans())
+    def test_slice_equals_rows_of_the_whole(self, case, self_product):
+        a, start, stop = case
+        b = a if self_product else np.random.default_rng(a.shape[0]).random((37, a.shape[1]))
+        assert np.array_equal(pairwise_sq(a[start:stop], b), pairwise_sq(a, b)[start:stop])
+
+
+@pytest.fixture(scope="module", params=["blobs", "contraceptive-scaled"])
+def multi_chunk_ds(request, data_dir):
+    if request.param == "blobs":
+        return make_blobs([(0.0,) * 4, (1.0,) * 4, (2.5,) * 4], [1000, 350, 150], seed=11)
+    return minmax_scale(load_csv(data_dir / "contraceptive.csv", "class"))[0]
+
+
+def several_ragged_chunks(m, n):
+    chunks = row_chunks(m, n)
+    sizes = [c.stop - c.start for c in chunks]
+    return len(chunks) > 2 and sizes[-1] < sizes[0]
+
+
+class TestChunkedReducersMatchWholeMatrix:
+    """``overlap_ratios`` and ``min_dist`` see one row chunk at a time, yet equal the whole matrix's result."""
+
+    @pytest.mark.parametrize("knn_k", [1, 5])
+    def test_overlap_ratios(self, multi_chunk_ds, knn_k):
+        assert several_ragged_chunks(multi_chunk_ds.n_samples, multi_chunk_ds.n_samples)
+        rep = overlap_ratios(multi_chunk_ds, knn_k=knn_k)
+        or_class, or_pair, or_dataset = overlap_ratios_reference(multi_chunk_ds, knn_k)
+        assert np.array_equal(rep.or_class, or_class)
+        assert np.array_equal(rep.or_pair, or_pair)
+        assert rep.or_dataset == or_dataset
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_min_dist(self, multi_chunk_ds, step):
+        points, reference = multi_chunk_ds.features, multi_chunk_ds.features[::step]
+        assert several_ragged_chunks(len(points), len(reference))
+        ref = np.sqrt(pairwise_sq(points, reference).min(axis=1))
+        assert np.array_equal(min_dist(points, reference), ref)
+
+
 def traced_peak(fn, *args):
     """Bytes allocated by ``fn(*args)`` at its peak, above what was live before the call.
 
@@ -250,14 +312,16 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.fixture(scope="module")
+def mixture():
+    """1,500 rows in 10 dimensions: a 1,500 x 1,500 float64 matrix is 18 MB."""
+    return make_blobs([(0.0,) * 10, (1.0,) * 10, (2.0,) * 10], [1000, 350, 150], seed=4)
+
+
 class TestOneDistanceMatrixPerCall:
     """Every distance caller holds at most one (m, n) float64 array at a time."""
 
     BOUND = 1.25  # in units of one (m, n) float64 matrix
-
-    @pytest.fixture(scope="class")
-    def mixture(self):
-        return make_blobs([(0.0,) * 10, (1.0,) * 10, (2.0,) * 10], [1000, 350, 150], seed=4)
 
     @pytest.mark.parametrize("fn", [pairwise_sq, pairwise, min_dist])
     def test_kernels(self, mixture, fn):
@@ -284,3 +348,16 @@ class TestOneDistanceMatrixPerCall:
         own = np.count_nonzero(labels == 0)
         peak = traced_peak(gap_profile, mixture, assignment, 0)
         assert peak <= self.BOUND * own * (labels.size - own) * 8
+
+
+class TestChunkedReducersMemory:
+    """``overlap_ratios`` and ``min_dist`` never hold an m x n matrix, only ``row_chunks`` of it."""
+
+    BOUND = 0.25  # in units of one (m, m) float64 matrix
+
+    def test_overlap_ratios(self, mixture):
+        assert traced_peak(overlap_ratios, mixture, 5) <= self.BOUND * mixture.n_samples ** 2 * 8
+
+    def test_min_dist(self, mixture):
+        x = mixture.features
+        assert traced_peak(min_dist, x, x) <= self.BOUND * x.shape[0] ** 2 * 8
