@@ -20,7 +20,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
-from . import harness, metrics, overlap, region
+from . import harness, overlap, region
 from .config import RunConfig, load_config_file, merge_config
 from .data_model import Dataset, load_csv, minmax_scale, rng_for
 
@@ -95,11 +95,10 @@ def cmd_clean(args) -> int:
     cfg = _build_config(args)
     ds = _load(cfg)
     keep = harness.clean(ds, harness.partition_regions(ds, cfg), cfg)
-    before = metrics.overlap_ratios(ds, knn_k=cfg.or_knn_k).or_dataset
     cleaned = ds.subset(keep)
-    after = metrics.overlap_ratios(cleaned, knn_k=cfg.or_knn_k).or_dataset
-    print(f"overlap ratio before: {before * 100:.2f}%")
-    print(f"overlap ratio after:  {after * 100:.2f}%")
+    for label, data in (("before:", ds), ("after: ", cleaned)):
+        ratio = harness.overlap_ratio(data, cfg.or_knn_k)  # None: too few rows for or_knn_k neighbours
+        print(f"overlap ratio {label} " + ("n/a" if ratio is None else f"{ratio * 100:.2f}%"))
     print(f"kept {cleaned.n_samples} of {ds.n_samples} samples")
     if args.out:
         _write_csv(args.out, *_dataset_table(cleaned))
@@ -155,7 +154,7 @@ def _emit_sweep(args, outputs) -> int:
 
 def cmd_ablate_noise(args) -> int:
     reports = harness.ablate_noise(_build_config(args), args.fractions)
-    return _emit_sweep(args, [(f"noise_{frac:g}", f"-- noise fraction {frac:g}", rep)
+    return _emit_sweep(args, [(_noise_stem(frac), f"-- noise fraction {frac:g}", rep)
                               for frac, rep in reports.items()])
 
 
@@ -167,12 +166,22 @@ def cmd_ablate_components(args) -> int:
                               for name, rep in reports.items()])
 
 
+def _noise_stem(frac: float) -> str:
+    """The report file stem of one noise-removal fraction."""
+    return f"noise_{frac:g}"
+
+
 def _fractions(text: str) -> tuple:
-    """The ``--fractions`` value: comma-separated numbers, as a tuple of floats."""
+    """The ``--fractions`` value: comma-separated numbers whose report files differ, as a tuple of floats."""
     try:
-        return tuple(float(x) for x in text.split(","))
+        fractions = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    stems = [_noise_stem(f) for f in fractions]
+    clashes = sorted({s for s in stems if stems.count(s) > 1})
+    if clashes:
+        raise argparse.ArgumentTypeError(f"fractions {text!r} share the report file(s) {', '.join(clashes)}")
+    return fractions
 
 
 def cmd_report(args) -> int:

@@ -3,9 +3,10 @@
 The identity's cells carry its rounding (a tiny non-zero for two equal rows),
 so they are not exact differences; ``nearest`` is exact on the cells it gets.
 Each cell is the identity on its own ``NEAREST_BLOCK``-row block of ``a``, so
-slicing ``a`` at a multiple of that block leaves every cell unchanged.  The
-row-reducing callers (``min_dist`` here, the overlap ratios in ``metrics``)
-use that to hold at most ``CHUNK_CELLS`` cells at a time, never m x n.
+slicing ``a`` at a multiple of that block leaves every cell unchanged.  Every
+caller in the pipeline reduces its matrix row by row (k nearest, minimum or
+median), and uses that to call ``pairwise_sq`` on ``row_chunks`` of at most
+``CHUNK_CELLS`` cells: none holds an m x n matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and ``nearest``; bounds their temporaries to 64 x n
 CHUNK_CELLS = 2**18  # cells (2 MB) per ``pairwise_sq`` call of a row-reducing caller
+TAIL_CELLS = 2**15  # cells (256 KB) per pass of the identity's elementwise tail in ``pairwise_sq``
 
 
 def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -24,7 +26,12 @@ def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and ``aa + bb - 2.0 * product``, clipped at 0, runs in place on it while it
     is still in cache.  So ``a @ a.T`` never takes numpy's symmetric (SYRK)
     path, except for a self-product of at most one block, where the block's
-    product is the whole ``a @ a.T``.  A cell depends only on its own block, so
+    product is the whole ``a @ a.T``.  The tail runs on pieces of the block of
+    at most ``TAIL_CELLS`` cells (the whole block when it fits), with the same
+    float operations per cell, so its ``aa + bb`` temporary stays cache-sized:
+    a block-wide one, allocated and freed on every call of a chunked caller,
+    pushed malloc's heap past its trim threshold, and each call faulted its
+    pages in again.  A cell depends only on its own block, so
     ``pairwise_sq(a[s:e], b)`` equals ``pairwise_sq(a, b)[s:e]`` bit for bit
     when ``s`` is a multiple of ``NEAREST_BLOCK`` and ``e`` is too or is ``len(a)``.
     """
@@ -33,12 +40,15 @@ def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = (a * a).sum(axis=1)
     bb = (b * b).sum(axis=1)
     sq = np.empty((a.shape[0], b.shape[0]))
+    piece = max(1, TAIL_CELLS // max(b.shape[0], 1))  # rows per pass of the tail
     for start in range(0, sq.shape[0], NEAREST_BLOCK):
         rows = slice(start, start + NEAREST_BLOCK)
         block = np.matmul(a[rows], b.T, out=sq[rows])
-        block *= 2.0
-        np.subtract(aa[rows, None] + bb, block, out=block)
-        np.maximum(block, 0.0, out=block)  # clip the tiny negatives the identity can produce
+        for lo in range(0, block.shape[0], piece):
+            part = block[lo:lo + piece]
+            part *= 2.0
+            np.subtract(aa[rows][lo:lo + piece, None] + bb, part, out=part)
+            np.maximum(part, 0.0, out=part)  # clip the tiny negatives the identity can produce
     return sq
 
 

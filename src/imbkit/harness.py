@@ -132,7 +132,7 @@ def balance(ds: Dataset, keep: np.ndarray, config: RunConfig,
                                    rng_factory=rng_factory)
 
 
-def _overlap_ratio(ds: Dataset, knn_k: int) -> float | None:
+def overlap_ratio(ds: Dataset, knn_k: int) -> float | None:
     """``ds``'s dataset-level overlap ratio; None when it has too few rows for ``knn_k`` neighbours."""
     return metrics.overlap_ratios(ds, knn_k=knn_k).or_dataset if ds.n_samples >= knn_k + 1 else None
 
@@ -160,10 +160,10 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     result.timings["clean"] = clock() - t0
 
     t0 = clock()
-    result.or_before = _shared(shared, "or_before", lambda: _overlap_ratio(train_ds, config.or_knn_k))
+    result.or_before = _shared(shared, "or_before", lambda: overlap_ratio(train_ds, config.or_knn_k))
     cleaned = train_ds.subset(keep)  # raises if cleaning emptied a class
     result.or_after = _shared(shared, ("or_after", keep.tobytes()),
-                              lambda: _overlap_ratio(cleaned, config.or_knn_k))
+                              lambda: overlap_ratio(cleaned, config.or_knn_k))
     result.timings["overlap_ratio"] = clock() - t0
 
     t0 = clock()

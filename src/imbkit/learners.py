@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import nearest, pairwise_sq
+from .distances import nearest, pairwise_sq, row_chunks
 from .posterior import fit_nb, log_joint
 
 
@@ -35,8 +35,10 @@ class KNNClassifier:
         return self
 
     def predict(self, features):
-        sq = pairwise_sq(np.asarray(features, dtype=np.float64), self._x)
-        nb = nearest(sq, self.k)  # distance ties fall to lower index
+        x = np.asarray(features, dtype=np.float64)
+        nb = np.empty((len(x), min(self.k, len(self._x))), dtype=np.intp)
+        for rows in row_chunks(len(x), len(self._x)):  # one chunk's distances at a time
+            nb[rows] = nearest(pairwise_sq(x[rows], self._x), self.k)  # distance ties fall to lower index
         return count_votes(self._y[nb].T, self.n_classes).argmax(axis=0)
 
 

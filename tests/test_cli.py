@@ -52,6 +52,18 @@ class TestCleanCommand:
         assert "%" in printed
         assert out.exists()
 
+    def test_too_few_rows_for_the_ratio_print_na(self, data_dir, tmp_path, capsys):
+        # 215 rows before cleaning, 194 after: 200 neighbours fit only the first
+        out = tmp_path / "cleaned.csv"
+        rc = main(["clean", "--data", str(data_dir / "new-thyroid.csv"), "--or-knn-k", "200",
+                   "--out", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("overlap ratio before: ") and printed[0].endswith("%")
+        assert printed[1] == "overlap ratio after:  n/a"
+        assert printed[2] == "kept 194 of 215 samples"
+        assert len(list(csv.DictReader(open(out)))) == 194
+
 
 class TestBalanceCommand:
     def test_provenance_column(self, dataset_csv, tmp_path):
@@ -289,6 +301,17 @@ class TestAblateCommands:
                   "--out-dir", str(outdir), *FAST_FLAGS])
         assert exc.value.code == 2
         assert "--fractions" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("fractions", ["0.1,0.1000001", "0,1,0.5,1.0"])
+    def test_fractions_sharing_a_report_file_exit_2(self, dataset_csv, tmp_path, capsys, fractions):
+        outdir = tmp_path / "noise"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate-noise", "--data", str(dataset_csv), "--fractions", fractions,
+                  "--out-dir", str(outdir), *FAST_FLAGS])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fractions" in err and "noise_" in err
         assert not outdir.exists()
 
     def test_ablate_components_emits_variants(self, dataset_csv, tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbkit.data_model import load_csv, minmax_scale
-from imbkit.distances import NEAREST_BLOCK, min_dist, nearest, pairwise, pairwise_sq, row_chunks
-from imbkit.learners import KNNClassifier
+from imbkit.distances import (CHUNK_CELLS, NEAREST_BLOCK, TAIL_CELLS, min_dist, nearest, pairwise, pairwise_sq,
+                              row_chunks)
+from imbkit.learners import KNNClassifier, count_votes
 from imbkit.metrics import overlap_ratios
 from imbkit.overlap import gap_profile
 from imbkit.region import CORE, OVERLAPPING, RegionAssignment
@@ -237,6 +238,15 @@ class TestPairwiseCells:
         assert np.array_equal(got, identity_oracle(query, train))
         assert np.array_equal(pairwise(query, train), np.sqrt(identity_oracle(query, train)))
 
+    # a block's tail runs in pieces of TAIL_CELLS // width rows: 63 + 1 rows, and 10-row pieces with a 4-row last
+    @pytest.mark.parametrize("width", [TAIL_CELLS // NEAREST_BLOCK + 1, 3210])
+    @pytest.mark.parametrize("rows", [NEAREST_BLOCK, 3 * NEAREST_BLOCK + 5])
+    def test_tail_split_into_pieces_equals_the_identity(self, vehicle_features, rows, width):
+        assert TAIL_CELLS // width < NEAREST_BLOCK
+        train = np.resize(vehicle_features, (width, vehicle_features.shape[1]))  # repeats the rows
+        query = vehicle_features[-rows:]
+        assert np.array_equal(pairwise_sq(query, train), identity_oracle(query, train))
+
 
 @st.composite
 def aligned_row_slices(draw):
@@ -275,8 +285,14 @@ def several_ragged_chunks(m, n):
     return len(chunks) > 2 and sizes[-1] < sizes[0]
 
 
+def own_class_overlapping(ds, class_id=0):
+    """Class ``class_id`` all in the overlap region, every other sample core."""
+    tags = np.where(ds.labels == class_id, OVERLAPPING, CORE)
+    return RegionAssignment(tags=tags, max_own_posterior=np.ones(ds.n_samples), labels=ds.labels)
+
+
 class TestChunkedReducersMatchWholeMatrix:
-    """``overlap_ratios`` and ``min_dist`` see one row chunk at a time, yet equal the whole matrix's result."""
+    """Each row-reducing caller sees one row chunk at a time, yet equals the whole matrix's result."""
 
     @pytest.mark.parametrize("knn_k", [1, 5])
     def test_overlap_ratios(self, multi_chunk_ds, knn_k):
@@ -293,6 +309,34 @@ class TestChunkedReducersMatchWholeMatrix:
         assert several_ragged_chunks(len(points), len(reference))
         ref = np.sqrt(pairwise_sq(points, reference).min(axis=1))
         assert np.array_equal(min_dist(points, reference), ref)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_knn_predict(self, multi_chunk_ds, k):
+        x, y, n = multi_chunk_ds.features, multi_chunk_ds.labels, multi_chunk_ds.n_classes
+        assert several_ragged_chunks(len(x), len(x[::2]))
+        clf = KNNClassifier(k=k).fit(x[::2], y[::2], n)
+        ref = count_votes(y[::2][nearest(pairwise_sq(x, x[::2]), k)].T, n).argmax(axis=0)
+        assert np.array_equal(clf.predict(x), ref)
+
+    @pytest.mark.parametrize("knn_k", [1, 5])
+    def test_neighbor_table(self, multi_chunk_ds, knn_k):
+        x = multi_chunk_ds.features
+        assert several_ragged_chunks(len(x), len(x))
+        sq = pairwise_sq(x, x)
+        np.fill_diagonal(sq, np.inf)
+        assert np.array_equal(_neighbor_table(x, knn_k), nearest(sq, knn_k))
+
+    def test_gap_profile(self, multi_chunk_ds):
+        assignment = own_class_overlapping(multi_chunk_ds)
+        own, ref = multi_chunk_ds.labels == 0, multi_chunk_ds.labels != 0
+        chunks = row_chunks(np.count_nonzero(own), np.count_nonzero(ref))
+        assert len(chunks) >= 2 and chunks[-1].stop - chunks[-1].start < chunks[0].stop - chunks[0].start
+        med = np.median(pairwise(multi_chunk_ds.features[own], multi_chunk_ds.features[ref]), axis=1,
+                        overwrite_input=True)
+        profile = gap_profile(multi_chunk_ds, assignment, 0)
+        order = np.lexsort((np.flatnonzero(own), med))
+        assert np.array_equal(profile.ordered_samples, np.flatnonzero(own)[order])
+        assert np.array_equal(profile.distances, med[order])
 
 
 def traced_peak(fn, *args):
@@ -349,11 +393,18 @@ class TestOneDistanceMatrixPerCall:
         peak = traced_peak(gap_profile, mixture, assignment, 0)
         assert peak <= self.BOUND * own * (labels.size - own) * 8
 
+    def test_block_wider_than_its_tail(self, mixture):
+        # one 64-row block against 3,210 rows: its tail runs in pieces, not on a whole-block temporary
+        b = np.resize(mixture.features, (3210, mixture.features.shape[1]))
+        a = mixture.features[:NEAREST_BLOCK]
+        assert traced_peak(pairwise_sq, a, b) <= self.BOUND * a.shape[0] * b.shape[0] * 8
+
 
 class TestChunkedReducersMemory:
-    """``overlap_ratios`` and ``min_dist`` never hold an m x n matrix, only ``row_chunks`` of it."""
+    """No row-reducing caller holds an m x n matrix, only ``row_chunks`` of it."""
 
     BOUND = 0.25  # in units of one (m, m) float64 matrix
+    CHUNK_BOUND = 2 * CHUNK_CELLS * 8  # bytes: two chunks' worth of float64 cells
 
     def test_overlap_ratios(self, mixture):
         assert traced_peak(overlap_ratios, mixture, 5) <= self.BOUND * mixture.n_samples ** 2 * 8
@@ -361,3 +412,14 @@ class TestChunkedReducersMemory:
     def test_min_dist(self, mixture):
         x = mixture.features
         assert traced_peak(min_dist, x, x) <= self.BOUND * x.shape[0] ** 2 * 8
+
+    def test_knn_predict(self, mixture):
+        x, y = mixture.features, mixture.labels
+        clf = KNNClassifier(k=3).fit(x[::2], y[::2], mixture.n_classes)
+        assert traced_peak(clf.predict, x) <= self.CHUNK_BOUND
+
+    def test_neighbor_table(self, mixture):
+        assert traced_peak(_neighbor_table, mixture.features, 5) <= self.CHUNK_BOUND
+
+    def test_gap_profile(self, mixture):
+        assert traced_peak(gap_profile, mixture, own_class_overlapping(mixture), 0) <= self.CHUNK_BOUND
