@@ -221,19 +221,22 @@ def count_votes(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return flat.reshape(n_classes, cols)
 
 
-def vote_from_predictions(preds: np.ndarray, mask, n_classes: int) -> np.ndarray:
-    """Hard majority vote over the mask-selected rows; ties go to the smallest label."""
+def _selected(preds: np.ndarray, mask) -> np.ndarray:
+    """The rows of a (pool size, m) prediction matrix that a non-empty pool-length mask selects."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape[0] != preds.shape[0]:
+    if mask.shape != preds.shape[:1]:
         raise ValueError("mask length must equal pool size")
     if not mask.any():
         raise ValueError("mask selects no classifiers")
-    return count_votes(preds[mask], n_classes).argmax(axis=0)
+    return preds[mask]
+
+
+def vote_from_predictions(preds: np.ndarray, mask, n_classes: int) -> np.ndarray:
+    """Hard majority vote over the mask-selected rows; ties go to the smallest label."""
+    return count_votes(_selected(preds, mask), n_classes).argmax(axis=0)
 
 
 def vote_shares(preds: np.ndarray, mask, n_classes: int) -> np.ndarray:
     """(m, n) fraction of selected classifiers voting each class; posterior-like scores."""
-    mask = np.asarray(mask, dtype=bool)
-    sel = preds[mask]
+    sel = _selected(preds, mask)
     return (count_votes(sel, n_classes) / sel.shape[0]).T
-

@@ -13,14 +13,21 @@ from .learners import count_votes
 
 
 def confusion_matrix(preds: np.ndarray, truth: np.ndarray, n_classes: int) -> np.ndarray:
-    """(n, n) count matrix, rows = true class, columns = predicted class."""
+    """(n, n) count matrix, rows = true class, columns = predicted class.
+
+    Every label, predicted or true, must lie in [0, n_classes).
+    """
     preds = np.asarray(preds, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if preds.shape != truth.shape:
         raise ValueError(f"length mismatch: {preds.shape} vs {truth.shape}")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(cm, (truth, preds), 1)
-    return cm
+    try:  # raises for any label outside [0, n_classes), negative ones included
+        flat = np.ravel_multi_index((truth, preds), (n_classes, n_classes))
+    except ValueError:
+        name = "preds" if np.any((preds < 0) | (preds >= n_classes)) else "truth"
+        raise ValueError(f"{name} holds a label outside [0, n_classes) = [0, {n_classes})") from None
+    flat = np.bincount(flat.ravel(), minlength=n_classes * n_classes)
+    return flat.reshape(n_classes, n_classes)
 
 
 @dataclass(frozen=True)
@@ -48,28 +55,28 @@ def classification_metrics(preds, truth, n_classes: int) -> ClassificationMetric
     0, and F1 is 0 whenever precision + recall is 0.
     """
     cm = confusion_matrix(preds, truth, n_classes)
-    tp = np.diag(cm).astype(float)
-    pred_pos = cm.sum(axis=0).astype(float)
-    true_pos = cm.sum(axis=1).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        precision = np.where(pred_pos > 0, tp / pred_pos, 0.0)
-        recall = np.where(true_pos > 0, tp / true_pos, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
-    present = true_pos > 0
-    if not present.all():
+    tp = cm.diagonal()
+    pos = np.array((cm.T, cm)).sum(axis=2)  # predicted, true count per class
+    scores = np.zeros((3, n_classes))
+    precision, recall, f1 = scores
+    np.divide(tp, pos, out=scores[:2], where=pos > 0)
+    pr = precision + recall
+    np.divide(2.0 * precision * recall, pr, out=f1, where=pr > 0)
+    present = pos[1] > 0
+    n_present = int(np.count_nonzero(present))
+    if n_present < n_classes:
         absent = np.flatnonzero(~present).tolist()
         warnings.warn(f"classes absent from truth excluded from macro averages: {absent}",
                       PipelineWarning, stacklevel=2)
-    n_present = int(present.sum())
-    rec_p = recall[present]
-    g_mean = float(np.prod(rec_p) ** (1.0 / n_present)) if n_present else 0.0
+    kept = scores[:, present]
+    # each row's sum / count is the reduction np.mean makes, so the macro means keep their bits
+    # (one sum over the 2-D axis adds in another order once 8 or more classes are present)
+    macro_precision, macro_recall, macro_f1 = (float(row.sum() / n_present) for row in kept)
+    g_mean = float(np.prod(kept[1]) ** (1.0 / n_present)) if n_present else 0.0
     return ClassificationMetrics(
         accuracy=float(tp.sum() / max(cm.sum(), 1)),
         precision=precision, recall=recall, f1=f1,
-        macro_precision=float(precision[present].mean()),
-        macro_recall=float(recall[present].mean()),
-        macro_f1=float(f1[present].mean()),
+        macro_precision=macro_precision, macro_recall=macro_recall, macro_f1=macro_f1,
         g_mean=g_mean, present=present)
 
 

@@ -15,9 +15,12 @@ then r2 values that per-genome calls would.
 
 A genome's fitness depends only on its digitized mask (the member predictions
 and fitness labels are fixed for the whole search), and scoring draws nothing
-from the stream, so each ``prune`` memoizes fitness by mask bytes.  Each of
-the at most 2^m - 1 masks is scored once, and the draws, the winner and the
-history are exactly those of scoring every candidate afresh.
+from the stream, so each ``prune`` memoizes fitness by mask.  The memo key is
+one exact integer per genome, sum(2^slot) over the selected slots, computed
+for the whole population in one product with Python-integer weights, so it
+is exact at any pool size.  Each of the at most 2^m - 1 masks is scored once,
+and the draws, the winner and the history are exactly those of scoring every
+candidate afresh.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ def digitize(values: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(values, dtype=np.float64)
     mask = v > 0.5
-    largest = np.arange(v.shape[-1]) == np.argmax(v, axis=-1)[..., None]
-    mask |= largest & ~mask.any(axis=-1, keepdims=True)
+    rows = mask.reshape(-1, v.shape[-1])  # a view: repairs land in mask
+    empty = ~rows.any(axis=1)
+    if empty.any():
+        rows[empty, v.reshape(rows.shape)[empty].argmax(axis=1)] = True
     return mask.astype(np.int64)
 
 
@@ -55,17 +60,25 @@ def jaya_update(values: np.ndarray, best: np.ndarray, worst: np.ndarray,
     """Move each (..., m) genome toward the best and away from the worst, clipped to [0, 1].
 
     Fresh r1, r2 in [0, 1) are drawn per position, genome by genome: r1 for
-    all m slots, then r2.
+    all m slots, then r2.  The step is (v + r1 |best - v|) - r2 |worst - v|,
+    rounded in that order.
     """
     v = np.asarray(values, dtype=np.float64)
     r = rng.random(2 * v.size).reshape(v.shape[:-1] + (2, v.shape[-1]))
-    r1, r2 = r[..., 0, :], r[..., 1, :]
-    out = v + r1 * np.abs(np.asarray(best) - v) - r2 * np.abs(np.asarray(worst) - v)
-    return np.clip(out, 0.0, 1.0)
+    out = np.subtract(best, v)
+    np.abs(out, out=out)
+    out *= r[..., 0, :]
+    out += v
+    away = np.subtract(worst, v)
+    np.abs(away, out=away)
+    away *= r[..., 1, :]
+    out -= away
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _mask_fitness(preds: np.ndarray, mask: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
-    voted = vote_from_predictions(preds, mask.astype(bool), n_classes)
+    voted = vote_from_predictions(preds, mask, n_classes)
     return classification_metrics(voted, truth, n_classes).macro_f1
 
 
@@ -82,16 +95,15 @@ def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20, t_max
         raise ValueError("fitness data must be non-empty")
 
     preds = member_predictions(pool, fit_x)
+    bits = np.array([1 << slot for slot in range(pool.size)], dtype=object)  # exact at any width
     memo = {}
 
     def fitness(values: np.ndarray) -> np.ndarray:
-        out = np.empty(values.shape[0])
-        for i, mask in enumerate(digitize(values)):
-            key = mask.tobytes()
-            if key not in memo:
-                memo[key] = _mask_fitness(preds, mask, fit_y, pool.n_classes)
-            out[i] = memo[key]
-        return out
+        masks = digitize(values)
+        keys = (masks @ bits).tolist()
+        for key in set(keys).difference(memo):
+            memo[key] = _mask_fitness(preds, masks[keys.index(key)], fit_y, pool.n_classes)
+        return np.fromiter(map(memo.__getitem__, keys), dtype=np.float64, count=len(keys))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fitness data may legitimately miss a class
@@ -99,12 +111,12 @@ def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20, t_max
         fits = fitness(pop)
         history = []
         for _ in range(t_max):
-            best, worst = pop[np.argmax(fits)], pop[np.argmin(fits)]
+            best, worst = pop[fits.argmax()], pop[fits.argmin()]
             cand = jaya_update(pop, best, worst, rng)
             cand_fits = fitness(cand)
             improved = cand_fits > fits  # greedy acceptance
-            pop = np.where(improved[:, None], cand, pop)
-            fits = np.where(improved, cand_fits, fits)
+            np.copyto(pop, cand, where=improved[:, None])
+            np.copyto(fits, cand_fits, where=improved)
             history.append(float(fits.max()))
 
     mask = digitize(pop[np.argmax(fits)])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,16 @@ class TestVoteCounter:
             assert winners[j] == min(c for c in range(n_classes) if ref[c, j] == ref[:, j].max())
         assert np.array_equal(vote_shares(labels, mask, n_classes),
                               (ref.astype(np.float64) / labels.shape[0]).T)
+
+    @pytest.mark.parametrize("vote", [vote_from_predictions, vote_shares])
+    @pytest.mark.parametrize("mask,message", [([0, 0, 0], "no classifiers"),
+                                              ([1, 1], "length"), ([1, 0, 1, 1], "length")])
+    def test_bad_mask_rejected_alike(self, vote, mask, message):
+        labels = np.array([[0, 1], [1, 1], [2, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty mask used to give NaN shares with a warning
+            with pytest.raises(ValueError, match=message):
+                vote(labels, mask, 3)
 
     def test_ties_go_to_smallest_label(self):
         labels = np.array([[2, 1, 0], [1, 2, 2], [0, 0, 1], [2, 1, 1]])

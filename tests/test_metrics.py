@@ -43,8 +43,64 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             confusion_matrix([0, 1], [0], 2)
 
+    @pytest.mark.parametrize("preds,truth,bad", [
+        ([0, -1, 1], [0, 1, 1], "preds"),  # np.add.at would have counted a prediction of class 2
+        ([0, 3, 1], [0, 1, 1], "preds"),
+        ([0, 1, 1], [0, -1, 1], "truth"),
+        ([0, 1, 1], [0, 1, 7], "truth"),
+    ])
+    def test_out_of_range_label_rejected(self, preds, truth, bad):
+        with pytest.raises(ValueError, match=rf"{bad} .*\[0, n_classes\) = \[0, 3\)"):
+            confusion_matrix(preds, truth, 3)
+        with pytest.raises(ValueError, match=r"\[0, n_classes\)"):
+            classification_metrics(preds, truth, 3)
+
+    def test_empty_labels_give_zero_counts(self):
+        assert confusion_matrix([], [], 2).tolist() == [[0, 0], [0, 0]]
+
+
+def reference_metrics(preds, truth, n_classes):
+    """The np.where / np.mean expression of the metrics, kept to check results bit for bit."""
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(cm, (np.asarray(truth), np.asarray(preds)), 1)
+    tp = np.diag(cm).astype(float)
+    pred_pos = cm.sum(axis=0).astype(float)
+    true_pos = cm.sum(axis=1).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(pred_pos > 0, tp / pred_pos, 0.0)
+        recall = np.where(true_pos > 0, tp / true_pos, 0.0)
+        pr = precision + recall
+        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
+    present = true_pos > 0
+    n_present = int(present.sum())
+    g_mean = float(np.prod(recall[present]) ** (1.0 / n_present)) if n_present else 0.0
+    return dict(accuracy=float(tp.sum() / max(cm.sum(), 1)), precision=precision,
+                recall=recall, f1=f1, macro_precision=float(precision[present].mean()),
+                macro_recall=float(recall[present].mean()), macro_f1=float(f1[present].mean()),
+                g_mean=g_mean, present=present)
+
 
 class TestClassificationMetrics:
+    def test_bit_identical_to_reference_expression(self):
+        """Jaya accepts only strictly better fitness, so a last-bit change could move the search."""
+        import warnings
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            n = int(rng.integers(2, 13))
+            m = int(rng.integers(1, 150))
+            classes = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)  # some absent
+            truth = rng.choice(classes, m)
+            preds = np.where(rng.random(m) < rng.random(), truth, rng.integers(0, n, m))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PipelineWarning)
+                got = classification_metrics(preds, truth, n)
+            for field, want in reference_metrics(preds, truth, n).items():
+                value = getattr(got, field)
+                if isinstance(want, np.ndarray):
+                    assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), field
+                else:
+                    assert type(value) is float and value == want, field
+
     def test_perfect_predictions(self):
         m = classification_metrics([0, 1, 2], [0, 1, 2], 3)
         assert m.accuracy == m.macro_precision == m.macro_recall == m.macro_f1 == m.g_mean == 1.0

@@ -134,6 +134,12 @@ class TestDigitize:
         assert digitize(rows).tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 0]]
         assert digitize(rows).tolist() == [digitize(row).tolist() for row in rows]
 
+    def test_stacked_rows_repaired_in_place(self):
+        values = np.array([[[0.1, 0.4], [0.6, 0.2]], [[0.3, 0.2], [0.5, 0.5]]])
+        assert digitize(values).tolist() == [[[0, 1], [1, 0]], [[1, 0], [1, 0]]]
+        assert digitize(values).dtype == np.int64
+        assert values.tolist() == [[[0.1, 0.4], [0.6, 0.2]], [[0.3, 0.2], [0.5, 0.5]]]
+
 
 class TestJayaUpdate:
     class HalfRng:
@@ -165,6 +171,18 @@ class TestJayaUpdate:
         rng = np.random.default_rng(9)
         rows = [jaya_update(row, best, worst, rng) for row in pop]
         assert np.array_equal(whole, np.vstack(rows))
+
+    def test_bit_identical_to_clip_expression(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            pop = rng.random((int(rng.integers(1, 25)), int(rng.integers(1, 40))))
+            best, worst = pop[rng.integers(len(pop))], pop[rng.integers(len(pop))]
+            seed = int(rng.integers(2 ** 32))
+            r = np.random.default_rng(seed).random(2 * pop.size).reshape(len(pop), 2, -1)
+            want = np.clip(pop + r[:, 0] * np.abs(best - pop) - r[:, 1] * np.abs(worst - pop),
+                           0.0, 1.0)
+            got = jaya_update(pop, best, worst, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
 
     def test_stays_in_unit_box(self):
         rng = np.random.default_rng(0)
@@ -276,16 +294,60 @@ class TestSearchUnchanged:
         assert result.history == history
         assert len(result.history) == t_max
 
-    @pytest.mark.parametrize("size", [1, 2, 4, 7])
-    def test_each_mask_scored_at_most_once(self, monkeypatch, size):
-        calls = []
-        scored = pruning._mask_fitness
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_on_a_wide_pool(self, seed):
+        """70 members: masks far past any fixed-width integer code, keys stay exact."""
+        pool, x, y = random_pool(70, seed)
+        mask, fitness, history = reference_prune(pool, x, y, 6, 4, np.random.default_rng(seed))
+        result = prune(pool, x, y, n_pop=6, t_max=4, rng=np.random.default_rng(seed))
+        assert result.mask.tolist() == mask.tolist()
+        assert result.fitness == fitness
+        assert result.history == history
+
+    @staticmethod
+    def scored_masks(monkeypatch, size, n_pop, t_max, rng=None):
+        """(every ``_mask_fitness`` mask in call order, the set of all masks ``digitize`` gave)."""
+        calls, seen = [], set()
+        scored, digitized = pruning._mask_fitness, pruning.digitize
 
         def counting(preds, mask, truth, n_classes):
             calls.append(mask.tobytes())
             return scored(preds, mask, truth, n_classes)
 
+        def recording(values):
+            masks = digitized(values)
+            seen.update(row.tobytes() for row in masks.reshape(-1, size))
+            return masks
+
         monkeypatch.setattr(pruning, "_mask_fitness", counting)
+        monkeypatch.setattr(pruning, "digitize", recording)
         pool, x, y = random_pool(size, seed=size)
-        prune(pool, x, y, n_pop=20, t_max=50, rng=np.random.default_rng(0))
+        prune(pool, x, y, n_pop=n_pop, t_max=t_max,
+              rng=np.random.default_rng(0) if rng is None else rng)
+        return calls, seen
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 7])
+    def test_each_mask_scored_at_most_once(self, monkeypatch, size):
+        calls, seen = self.scored_masks(monkeypatch, size, n_pop=20, t_max=50)
         assert len(calls) == len(set(calls)) <= 2 ** size - 1
+        assert set(calls) == seen
+
+    def test_wide_pool_scores_each_mask_exactly_once(self, monkeypatch):
+        calls, seen = self.scored_masks(monkeypatch, 70, n_pop=20, t_max=30)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == seen
+
+    def test_masks_differing_past_slot_63_keyed_apart(self, monkeypatch):
+        """Masks that differ only in slot 0, 64 or 69 are four masks, each scored once."""
+        class ScriptedRng:  # a fixed initial population, then steps of zero
+            def __init__(self, pop):
+                self.pop = pop
+
+            def random(self, size):
+                return self.pop.copy() if isinstance(size, tuple) else np.zeros(size)
+
+        pop = np.full((4, 70), 0.9)
+        pop[1, 69] = pop[2, 64] = pop[3, 0] = 0.1
+        calls, seen = self.scored_masks(monkeypatch, 70, n_pop=4, t_max=2, rng=ScriptedRng(pop))
+        assert len(seen) == 4
+        assert sorted(calls) == sorted(seen)
