@@ -9,8 +9,7 @@ from .metrics import classification_metrics, confusion_matrix, macro_ovr_auc, ov
 from .overlap import GapProfile, gap_profile, select_non_overlapping, sor_all
 from .posterior import NBModel, PosteriorMatrix, fit_nb, posteriors
 from .pruning import PrunedEnsemble, digitize, jaya_update, prune
-from .region import (ClassThresholds, RegionAssignment, class_thresholds, noise_subset,
-                     partition)
+from .region import RegionAssignment, class_thresholds, noise_subset, partition
 from .resample import SyntheticBatch, balance_plan, omrp
 
 __version__ = "0.1.0"
@@ -24,6 +23,6 @@ __all__ = [
     "GapProfile", "gap_profile", "select_non_overlapping", "sor_all",
     "NBModel", "PosteriorMatrix", "fit_nb", "posteriors",
     "PrunedEnsemble", "digitize", "jaya_update", "prune",
-    "ClassThresholds", "RegionAssignment", "class_thresholds", "noise_subset", "partition",
+    "RegionAssignment", "class_thresholds", "noise_subset", "partition",
     "SyntheticBatch", "balance_plan", "omrp",
 ]

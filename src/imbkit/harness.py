@@ -192,8 +192,7 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     t0 = clock()
     preds_matrix = learners.member_predictions(pool, test_x)
     preds = learners.vote_from_predictions(preds_matrix, mask.astype(bool), ds.n_classes)
-    cmetrics = metrics.classification_metrics(preds, test_y, ds.n_classes)
-    result.metrics = cmetrics.as_dict()
+    result.metrics = metrics.classification_metrics(preds, test_y, ds.n_classes)
     try:
         scores = learners.vote_shares(preds_matrix, mask.astype(bool), ds.n_classes)
         result.metrics["auc"] = metrics.macro_ovr_auc(scores, test_y)

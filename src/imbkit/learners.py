@@ -204,9 +204,18 @@ def train_pool(features, labels, n_classes: int, pool_spec=None, seed: int = 0) 
 
 
 def member_predictions(pool: ClassifierPool, features) -> np.ndarray:
-    """(pool size, m) label matrix; computed once and reused by mask evaluations."""
+    """(pool size, m) label matrix; computed once and reused by mask evaluations.
+
+    A member predicting a label outside [0, n_classes) raises ``ValueError``
+    naming its slot, so the votes counted from the matrix need no check.
+    """
     x = np.asarray(features, dtype=np.float64)
-    return np.vstack([clf.predict(x) for clf in pool.classifiers])
+    preds = np.vstack([clf.predict(x) for clf in pool.classifiers])
+    bad = ((preds < 0) | (preds >= pool.n_classes)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"pool member in slot {int(np.flatnonzero(bad)[0])} predicted a label "
+                         f"outside [0, n_classes) = [0, {pool.n_classes})")
+    return preds
 
 
 def count_votes(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -9,7 +9,6 @@ import numpy as np
 
 from .data_model import Dataset, PipelineWarning
 from .distances import nearest, pairwise_sq, row_chunks
-from .learners import count_votes
 
 
 def confusion_matrix(preds: np.ndarray, truth: np.ndarray, n_classes: int) -> np.ndarray:
@@ -30,31 +29,19 @@ def confusion_matrix(preds: np.ndarray, truth: np.ndarray, n_classes: int) -> np
     return flat.reshape(n_classes, n_classes)
 
 
-@dataclass(frozen=True)
-class ClassificationMetrics:
-    accuracy: float
-    precision: np.ndarray   # per class, one-vs-rest
-    recall: np.ndarray
-    f1: np.ndarray
-    macro_precision: float  # unweighted means over classes present in truth
-    macro_recall: float
-    macro_f1: float
-    g_mean: float           # n-th root of the product of present-class recalls
-    present: np.ndarray     # bool per class: appears in truth
+def classification_metrics(preds, truth, n_classes: int) -> dict:
+    """{"accuracy", "precision", "recall", "f1", "g_mean"} of one non-empty set of labels.
 
-    def as_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "precision": self.macro_precision,
-                "recall": self.macro_recall, "f1": self.macro_f1, "g_mean": self.g_mean}
-
-
-def classification_metrics(preds, truth, n_classes: int) -> ClassificationMetrics:
-    """One-vs-rest precision/recall/F1 per class plus macro averages and G-mean.
-
-    Classes absent from ``truth`` are excluded from the macro averages and the
-    G-mean with a warning.  A class with no predicted positives gets precision
-    0, and F1 is 0 whenever precision + recall is 0.
+    Precision, recall and F1 are one-vs-rest per class, averaged unweighted;
+    G-mean is the n-th root of the product of the per-class recalls.  Classes
+    absent from ``truth`` are excluded from the averages and the G-mean with a
+    warning.  A class with no predicted positives gets precision 0, and F1 is
+    0 whenever precision + recall is 0.  Empty labels raise ``ValueError``.
     """
     cm = confusion_matrix(preds, truth, n_classes)
+    total = cm.sum()
+    if total == 0:
+        raise ValueError("no labels to score")
     tp = cm.diagonal()
     pos = np.array((cm.T, cm)).sum(axis=2)  # predicted, true count per class
     scores = np.zeros((3, n_classes))
@@ -72,12 +59,9 @@ def classification_metrics(preds, truth, n_classes: int) -> ClassificationMetric
     # each row's sum / count is the reduction np.mean makes, so the macro means keep their bits
     # (one sum over the 2-D axis adds in another order once 8 or more classes are present)
     macro_precision, macro_recall, macro_f1 = (float(row.sum() / n_present) for row in kept)
-    g_mean = float(np.prod(kept[1]) ** (1.0 / n_present)) if n_present else 0.0
-    return ClassificationMetrics(
-        accuracy=float(tp.sum() / max(cm.sum(), 1)),
-        precision=precision, recall=recall, f1=f1,
-        macro_precision=macro_precision, macro_recall=macro_recall, macro_f1=macro_f1,
-        g_mean=g_mean, present=present)
+    return {"accuracy": float(tp.sum() / total), "precision": macro_precision,
+            "recall": macro_recall, "f1": macro_f1,
+            "g_mean": float(np.prod(kept[1]) ** (1.0 / n_present))}
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -112,7 +96,6 @@ def macro_ovr_auc(scores: np.ndarray, truth: np.ndarray) -> float:
 @dataclass(frozen=True)
 class OverlapReport:
     or_class: np.ndarray    # per-class fraction of samples in cross-class neighborhoods
-    or_pair: np.ndarray     # symmetric pairwise overlap matrix
     or_dataset: float       # mean of the per-class ratios
 
 
@@ -121,8 +104,8 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
 
     A sample is flagged overlapping when at least ceil(knn_k / 2) of its
     knn_k nearest neighbors (self excluded, ties by index) carry a different
-    label.  The pair entry (i, j) averages the rate of class-i samples whose
-    foreign-neighbor majority is j with the converse rate.
+    label.  A class's ratio is the fraction of its samples flagged, and the
+    dataset's ratio is the mean of the class ratios.
     """
     if knn_k < 1:
         raise ValueError("knn_k must be >= 1")
@@ -137,19 +120,7 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
         nb[rows] = nearest(sq, knn_k)
         del sq  # freed before the next chunk is allocated: with two alive, malloc still trims the
         # heap and faults it in again (about 870 page faults per 3,200-row call, none with the del)
-    nb_labels = ds.labels[nb]
-    foreign = nb_labels != ds.labels[:, None]
-    flagged = np.flatnonzero(foreign.sum(axis=1) >= int(np.ceil(knn_k / 2)))
-
-    # per flagged sample, its most frequent foreign neighbour label (ties to the smallest)
-    votes = count_votes(nb_labels[flagged].T, n)
-    votes[ds.labels[flagged], np.arange(flagged.size)] = 0
-    into = votes.argmax(axis=0)
-    # [i, j]: class-i samples overlapping into j
-    n_ov = np.bincount(ds.labels[flagged] * n + into, minlength=n * n).reshape(n, n)
-    counts = ds.class_counts()
-    or_class = n_ov.sum(axis=1) / counts
-    rate = n_ov / counts[:, None]
-    or_pair = 0.5 * (rate + rate.T)
-    np.fill_diagonal(or_pair, 0.0)
-    return OverlapReport(or_class=or_class, or_pair=or_pair, or_dataset=float(or_class.mean()))
+    foreign = ds.labels[nb] != ds.labels[:, None]
+    flagged = foreign.sum(axis=1) >= int(np.ceil(knn_k / 2))
+    or_class = np.bincount(ds.labels[flagged], minlength=n) / ds.class_counts()
+    return OverlapReport(or_class=or_class, or_dataset=float(or_class.mean()))

@@ -25,11 +25,7 @@ KEEP_MODES = ("after", "before")
 class GapProfile:
     ordered_samples: np.ndarray  # dataset indices, ascending median distance
     distances: np.ndarray        # the corresponding medians
-    gaps: np.ndarray             # consecutive differences, len = len(distances) - 1
-    gap_mean: float
-    gap_std: float               # population convention
-    z_scores: np.ndarray
-    jump_index: int | None       # first gap with z >= z_threshold, if any
+    jump_index: int | None       # first gap with z >= z_threshold, if any (see gap_statistics)
 
 
 def gap_statistics(sorted_distances: np.ndarray, z_threshold: float = 2.0):
@@ -70,9 +66,8 @@ def gap_profile(ds: Dataset, assignment: RegionAssignment, class_id: int,
         med[rows] = np.median(pairwise(own_x[rows], ref_x), axis=1, overwrite_input=True)
     order = np.lexsort((own, med))
     ordered, dists = own[order], med[order]
-    gaps, mu, sigma, z, jump = gap_statistics(dists, z_threshold)
-    return GapProfile(ordered_samples=ordered, distances=dists, gaps=gaps, gap_mean=mu,
-                      gap_std=sigma, z_scores=z, jump_index=jump)
+    jump = gap_statistics(dists, z_threshold)[-1]
+    return GapProfile(ordered_samples=ordered, distances=dists, jump_index=jump)
 
 
 def select_non_overlapping(profile: GapProfile, fallback_fraction: float = 0.30,

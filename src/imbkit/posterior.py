@@ -22,7 +22,6 @@ class NBModel:
     priors: np.ndarray      # (n,) class frequencies, sums to 1
     means: np.ndarray       # (n, z)
     variances: np.ndarray   # (n, z) population variances + smoothing, all > 0
-    smoothing: float
 
     def __post_init__(self):
         if abs(self.priors.sum() - 1.0) > 1e-12:
@@ -75,7 +74,7 @@ def fit_nb(features: np.ndarray, labels: np.ndarray, n_classes: int) -> NBModel:
         means[c] = block.mean(axis=0)
         variances[c] = block.var(axis=0)
     eps = max(VARIANCE_SMOOTHING_REL * float(features.var(axis=0).max()), VARIANCE_SMOOTHING_FLOOR)
-    return NBModel(priors=priors, means=means, variances=variances + eps, smoothing=eps)
+    return NBModel(priors=priors, means=means, variances=variances + eps)
 
 
 def log_joint(model: NBModel, features: np.ndarray) -> np.ndarray:

@@ -37,8 +37,7 @@ from .metrics import classification_metrics
 @dataclass(frozen=True)
 class PrunedEnsemble:
     mask: np.ndarray
-    fitness: float
-    history: tuple  # best fitness after each generation
+    history: tuple  # best fitness after each generation; the last is the mask's fitness
 
 
 def digitize(values: np.ndarray) -> np.ndarray:
@@ -79,7 +78,7 @@ def jaya_update(values: np.ndarray, best: np.ndarray, worst: np.ndarray,
 
 def _mask_fitness(preds: np.ndarray, mask: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
     voted = vote_from_predictions(preds, mask, n_classes)
-    return classification_metrics(voted, truth, n_classes).macro_f1
+    return classification_metrics(voted, truth, n_classes)["f1"]
 
 
 def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20, t_max: int = 50, *,
@@ -120,4 +119,4 @@ def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20, t_max
             history.append(float(fits.max()))
 
     mask = digitize(pop[np.argmax(fits)])
-    return PrunedEnsemble(mask=mask, fitness=float(fits.max()), history=tuple(history))
+    return PrunedEnsemble(mask=mask, history=tuple(history))

@@ -22,13 +22,6 @@ THRESHOLD_MODES = ("midpoint", "mean")
 
 
 @dataclass(frozen=True)
-class ClassThresholds:
-    mean_own: np.ndarray   # per class: mean own-class posterior over its samples
-    max_own: np.ndarray    # per class: max own-class posterior over its samples
-    threshold: np.ndarray  # per class: the combined acceptance threshold
-
-
-@dataclass(frozen=True)
 class RegionAssignment:
     """Per-sample region tag plus the membership confidence used for noise ranking."""
 
@@ -46,8 +39,8 @@ class RegionAssignment:
         return {TAG_NAMES[t]: int(np.sum(self.tags == t)) for t in (CORE, OVERLAPPING, NOISY)}
 
 
-def class_thresholds(P: PosteriorMatrix, labels: np.ndarray, mode: str = "midpoint") -> ClassThresholds:
-    """Per-class thresholds from own-class posterior statistics.
+def class_thresholds(P: PosteriorMatrix, labels: np.ndarray, mode: str = "midpoint") -> np.ndarray:
+    """(n,) per-class acceptance thresholds from own-class posterior statistics.
 
     mode="midpoint" (default) averages the mean and the maximum own-class
     posterior; mode="mean" uses the mean alone.
@@ -65,12 +58,11 @@ def class_thresholds(P: PosteriorMatrix, labels: np.ndarray, mode: str = "midpoi
             raise ValueError(f"class {c} has no samples")
         mean_own[c] = own.mean()
         max_own[c] = own.max()
-    threshold = (mean_own + max_own) / 2.0 if mode == "midpoint" else mean_own.copy()
-    return ClassThresholds(mean_own=mean_own, max_own=max_own, threshold=threshold)
+    return (mean_own + max_own) / 2.0 if mode == "midpoint" else mean_own
 
 
-def partition(P: PosteriorMatrix, T: ClassThresholds, labels: np.ndarray) -> RegionAssignment:
-    """Tag every sample core, overlapping or noisy.
+def partition(P: PosteriorMatrix, thresholds: np.ndarray, labels: np.ndarray) -> RegionAssignment:
+    """Tag every sample core, overlapping or noisy against the (n,) class ``thresholds``.
 
     Core membership is inclusive (own posterior >= own threshold) so perfectly
     separable data where every own posterior saturates at 1.0 stays core; the
@@ -81,8 +73,8 @@ def partition(P: PosteriorMatrix, T: ClassThresholds, labels: np.ndarray) -> Reg
     labels = np.asarray(labels)
     m, n = vals.shape
     own = vals[np.arange(m), labels]
-    core = own >= T.threshold[labels]
-    exceeds = vals > T.threshold[None, :]
+    core = own >= thresholds[labels]
+    exceeds = vals > thresholds[None, :]
     exceeds[np.arange(m), labels] = False
     overlapping = ~core & exceeds.any(axis=1)
     tags = np.full(m, NOISY, dtype=np.int8)

@@ -35,9 +35,6 @@ def balance_plan(class_base_counts, class_names=None) -> np.ndarray:
 @dataclass
 class SyntheticBatch:
     samples: np.ndarray        # (k, z) synthetic feature vectors
-    parents: np.ndarray        # index into the class base set
-    neighbors: np.ndarray      # index into the class base set
-    alphas: np.ndarray         # interpolation factors in [0, 1)
     attempts_used: int
     accepted_count: int
     shortfall: int
@@ -78,16 +75,13 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
         if needed:
             warnings.warn(f"class {class_id}: single base sample, replicating it {needed}x "
                           "(no neighbor to interpolate)", PipelineWarning, stacklevel=2)
-        return SyntheticBatch(samples=np.repeat(class_data, needed, axis=0),
-                              parents=np.zeros(needed, dtype=np.int64),
-                              neighbors=np.zeros(needed, dtype=np.int64),
-                              alphas=np.zeros(needed), attempts_used=needed,
+        return SyntheticBatch(samples=np.repeat(class_data, needed, axis=0), attempts_used=needed,
                               accepted_count=needed, shortfall=0)
 
     nb_table = _neighbor_table(class_data, knn_k)
     cap = max(needed * max_attempts_factor, MIN_ATTEMPT_CAP)
     chunk = max(needed, 64)
-    tried = []  # per chunk: (candidates, parents, neighbors, alphas, margins) up to its last attempt
+    tried = []  # per chunk: (candidates, margins) up to its last attempt
     attempts = accepted = 0
     while accepted < needed and attempts < cap:
         size = min(chunk, cap - attempts)
@@ -102,11 +96,11 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
         room = needed - accepted
         # the chunk's attempts end at the one that fills the quota
         stop = int(passed[room - 1]) + 1 if passed.size >= room else size
-        tried.append((cands[:stop], parents[:stop], neighbors[:stop], alphas[:stop], margins[:stop]))
+        tried.append((cands[:stop], margins[:stop]))
         attempts += stop
         accepted += min(passed.size, room)
 
-    cands, parents, neighbors, alphas, margins = (np.concatenate(col) for col in zip(*tried))
+    cands, margins = (np.concatenate(col) for col in zip(*tried))
     ok = margins >= 0.0
     keep = np.flatnonzero(ok)
     shortfall = needed - accepted
@@ -117,8 +111,7 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
         rejected = np.flatnonzero(~ok)
         best = rejected[np.lexsort((rejected, -margins[rejected]))[:shortfall]]
         keep = np.concatenate([keep, best])
-    return SyntheticBatch(samples=cands[keep], parents=parents[keep], neighbors=neighbors[keep],
-                          alphas=alphas[keep], attempts_used=attempts, accepted_count=accepted,
+    return SyntheticBatch(samples=cands[keep], attempts_used=attempts, accepted_count=accepted,
                           shortfall=shortfall)
 
 

@@ -70,8 +70,8 @@ def test_02_partition_soundness():
         thr = region.class_thresholds(P, labels)
         assign = region.partition(P, thr, labels)
         own = P.values[np.arange(m), labels]
-        core = own >= thr.threshold[labels]
-        exceeds = P.values > thr.threshold[None, :]
+        core = own >= thr[labels]
+        exceeds = P.values > thr[None, :]
         exceeds[np.arange(m), labels] = False
         expected = np.where(core, region.CORE,
                             np.where(exceeds.any(axis=1), region.OVERLAPPING, region.NOISY))
@@ -88,12 +88,13 @@ def test_03_sor_jump_oracle():
     gaps_o, mu_o, sigma_o, z_o = population_stats_oracle(WORKED_DISTANCES)
     ds, assign = worked_fixture()
     profile = overlap.gap_profile(ds, assign, class_id=1)
-    dev = max(abs(profile.gap_mean - mu_o), abs(profile.gap_std - sigma_o),
-              float(np.abs(profile.z_scores - np.array(z_o)).max()))
-    ok = (dev <= 1e-9 and profile.z_scores[-1] >= 2.0 and profile.jump_index == 8
-          and abs(profile.z_scores[-1] - 2.8284) < 1e-3)
+    gaps, mu, sigma, z, jump = overlap.gap_statistics(profile.distances)
+    dev = max(float(np.abs(gaps - np.array(gaps_o)).max()), abs(mu - mu_o), abs(sigma - sigma_o),
+              float(np.abs(z - np.array(z_o)).max()))
+    ok = (dev <= 1e-9 and z[-1] >= 2.0 and jump == profile.jump_index == 8
+          and abs(z[-1] - 2.8284) < 1e-3)
     assert line("03", "sor-jump-oracle", ok,
-                f"z={profile.z_scores[-1]:.4f} jump={profile.jump_index} dev={dev:.2e}")
+                f"z={z[-1]:.4f} jump={profile.jump_index} dev={dev:.2e}")
 
 
 def test_04_overlap_ratio_direction(data_dir):
@@ -170,7 +171,7 @@ def test_06_jaya_desk_scale_optimality():
     for seed in range(20):
         result = pruning.prune(pool, fit_x, fit_y, n_pop=20, t_max=50,
                                rng=np.random.default_rng(seed))
-        hits += result.fitness >= target - 0.02
+        hits += result.history[-1] >= target - 0.02
         monotone &= bool(np.all(np.diff(np.array(result.history)) >= 0))
     elapsed = time.perf_counter() - t0
     ok = hits >= 16 and monotone and elapsed < 30.0
@@ -210,7 +211,7 @@ def raw_pool_g_means(ds, rep):
         pool = learners.train_pool(ds.features[train], ds.labels[train], ds.n_classes, seed=seed)
         preds = learners.vote_from_predictions(learners.member_predictions(pool, ds.features[test]),
                                                np.ones(pool.size, dtype=bool), ds.n_classes)
-        out.append(metrics.classification_metrics(preds, ds.labels[test], ds.n_classes).g_mean)
+        out.append(metrics.classification_metrics(preds, ds.labels[test], ds.n_classes)["g_mean"])
     return np.array(out)
 
 

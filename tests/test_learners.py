@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from imbkit.learners import (DEFAULT_POOL_SPEC, ExtraTreeClassifier, GaussianNBClassifier,
                              GiniTreeClassifier, KNNClassifier, count_votes, member_predictions,
                              train_pool, vote_from_predictions, vote_shares)
+from imbkit.pruning import prune
 from tests.conftest import make_blobs
 
 
@@ -163,7 +164,7 @@ def majority_vote(pool, mask, x) -> int:
 
 
 class TestMajorityVote:
-    def _pool_with_fixed_votes(self, votes):
+    def _pool_with_fixed_votes(self, votes, n_classes=None):
         class Fixed:
             def __init__(self, label):
                 self.label = label
@@ -171,7 +172,7 @@ class TestMajorityVote:
                 return np.full(np.atleast_2d(x).shape[0], self.label, dtype=np.int64)
         from imbkit.learners import ClassifierPool
         return ClassifierPool(classifiers=tuple(Fixed(v) for v in votes),
-                              n_classes=int(max(votes)) + 1)
+                              n_classes=int(max(votes)) + 1 if n_classes is None else n_classes)
 
     def test_single_selected_member(self):
         pool = self._pool_with_fixed_votes([2, 0, 1])
@@ -195,6 +196,14 @@ class TestMajorityVote:
         pool_b = self._pool_with_fixed_votes([1, 1, 1])
         x = np.zeros(1)
         assert majority_vote(pool_a, [1, 1, 1], x) == majority_vote(pool_b, [1, 1, 1], x)
+
+    @pytest.mark.parametrize("label", [2, -1])  # n_classes itself, and a negative label
+    def test_out_of_range_member_label_names_its_slot(self, label):
+        pool = self._pool_with_fixed_votes([0, label, 1], n_classes=2)
+        with pytest.raises(ValueError, match=r"slot 1 .*\[0, n_classes\) = \[0, 2\)"):
+            member_predictions(pool, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="slot 1 "):
+            prune(pool, np.zeros((3, 1)), np.array([0, 1, 1]), rng=np.random.default_rng(0))
 
     def test_vote_shares_sum_to_one(self):
         pool = self._pool_with_fixed_votes([0, 1, 1])

@@ -58,6 +58,10 @@ class TestConfusionMatrix:
     def test_empty_labels_give_zero_counts(self):
         assert confusion_matrix([], [], 2).tolist() == [[0, 0], [0, 0]]
 
+    def test_empty_labels_have_no_metrics(self):
+        with pytest.raises(ValueError, match="no labels"):
+            classification_metrics([], [], 2)
+
 
 def reference_metrics(preds, truth, n_classes):
     """The np.where / np.mean expression of the metrics, kept to check results bit for bit."""
@@ -74,10 +78,9 @@ def reference_metrics(preds, truth, n_classes):
     present = true_pos > 0
     n_present = int(present.sum())
     g_mean = float(np.prod(recall[present]) ** (1.0 / n_present)) if n_present else 0.0
-    return dict(accuracy=float(tp.sum() / max(cm.sum(), 1)), precision=precision,
-                recall=recall, f1=f1, macro_precision=float(precision[present].mean()),
-                macro_recall=float(recall[present].mean()), macro_f1=float(f1[present].mean()),
-                g_mean=g_mean, present=present)
+    return dict(accuracy=float(tp.sum() / max(cm.sum(), 1)),
+                precision=float(precision[present].mean()), recall=float(recall[present].mean()),
+                f1=float(f1[present].mean()), g_mean=g_mean)
 
 
 class TestClassificationMetrics:
@@ -94,46 +97,47 @@ class TestClassificationMetrics:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PipelineWarning)
                 got = classification_metrics(preds, truth, n)
-            for field, want in reference_metrics(preds, truth, n).items():
-                value = getattr(got, field)
-                if isinstance(want, np.ndarray):
-                    assert value.dtype == want.dtype and value.tobytes() == want.tobytes(), field
-                else:
-                    assert type(value) is float and value == want, field
+            want = reference_metrics(preds, truth, n)
+            assert list(got) == list(want)
+            for key, value in got.items():
+                assert type(value) is float and value == want[key], key
 
     def test_perfect_predictions(self):
         m = classification_metrics([0, 1, 2], [0, 1, 2], 3)
-        assert m.accuracy == m.macro_precision == m.macro_recall == m.macro_f1 == m.g_mean == 1.0
+        assert m == {"accuracy": 1.0, "precision": 1.0, "recall": 1.0, "f1": 1.0, "g_mean": 1.0}
 
     def test_g_mean_sqrt(self):
         # recalls (1.0, 0.25) -> G-mean 0.5
         preds = [0, 0, 0, 0, 1, 0, 0, 0]
         truth = [0, 0, 0, 0, 1, 1, 1, 1]
         m = classification_metrics(preds, truth, 2)
-        assert m.recall.tolist() == [1.0, 0.25]
-        assert m.g_mean == pytest.approx(0.5)
+        assert m["recall"] == (1.0 + 0.25) / 2
+        assert m["precision"] == pytest.approx((4 / 7 + 1.0) / 2)
+        assert m["g_mean"] == pytest.approx(0.5)
 
     def test_hand_confusion_case(self):
         truth = [0, 0, 1, 1, 2, 2]
         preds = [0, 0, 1, 0, 2, 2]
         m = classification_metrics(preds, truth, 3)
-        assert m.recall.tolist() == pytest.approx([1.0, 0.5, 1.0])
-        assert m.g_mean == pytest.approx(0.5 ** (1 / 3))
-        assert m.g_mean == pytest.approx(0.7937, abs=1e-4)
-        assert m.macro_recall == pytest.approx(5 / 6)
+        # recalls (1.0, 0.5, 1.0), precisions (2/3, 1.0, 1.0)
+        assert m["g_mean"] == pytest.approx(0.5 ** (1 / 3))
+        assert m["g_mean"] == pytest.approx(0.7937, abs=1e-4)
+        assert m["recall"] == pytest.approx(5 / 6)
+        assert m["precision"] == pytest.approx(8 / 9)
 
     def test_zero_recall_kills_g_mean(self):
         m = classification_metrics([0, 0, 0, 0], [0, 0, 1, 1], 2)
-        assert m.g_mean == 0.0
+        assert m["g_mean"] == 0.0
 
     def test_absent_class_excluded_with_warning(self):
         with pytest.warns(PipelineWarning, match="absent"):
             m = classification_metrics([0, 1, 0, 1], [0, 1, 0, 1], 3)
-        assert m.macro_f1 == 1.0  # class 2 never in truth, ignored
+        assert m["f1"] == 1.0  # class 2 never in truth, ignored
 
     def test_zero_predicted_positives_precision(self):
         m = classification_metrics([0, 0, 0, 0], [0, 0, 1, 1], 2)
-        assert m.precision[1] == 0.0
+        assert m["precision"] == (0.5 + 0.0) / 2  # class 1: no predicted positives, precision 0
+        assert m["f1"] == pytest.approx((2 / 3 + 0.0) / 2)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), m=st.integers(2, 30), n=st.integers(2, 4))
@@ -146,12 +150,12 @@ class TestClassificationMetrics:
             warnings.simplefilter("ignore", PipelineWarning)
             got = classification_metrics(preds, truth, n)
         acc, mp, mr, mf, g = metrics_oracle(preds.tolist(), truth.tolist(), n)
-        assert got.accuracy == pytest.approx(acc, abs=1e-12)
-        assert got.macro_precision == pytest.approx(mp, abs=1e-12)
-        assert got.macro_recall == pytest.approx(mr, abs=1e-12)
-        assert got.macro_f1 == pytest.approx(mf, abs=1e-12)
-        assert got.g_mean == pytest.approx(g, abs=1e-12)
-        assert got.g_mean <= got.macro_recall + 1e-12  # AM-GM
+        assert got["accuracy"] == pytest.approx(acc, abs=1e-12)
+        assert got["precision"] == pytest.approx(mp, abs=1e-12)
+        assert got["recall"] == pytest.approx(mr, abs=1e-12)
+        assert got["f1"] == pytest.approx(mf, abs=1e-12)
+        assert got["g_mean"] == pytest.approx(g, abs=1e-12)
+        assert got["g_mean"] <= got["recall"] + 1e-12  # AM-GM
 
 
 class TestMacroOvrAuc:
@@ -210,7 +214,7 @@ class TestOverlapRatios:
         ds = make_blobs([(0.0, 0.0), (500.0, 500.0)], [20, 20], std=1.0, seed=0)
         rep = overlap_ratios(ds, knn_k=5)
         assert rep.or_dataset == 0.0
-        assert np.all(rep.or_pair == 0.0)
+        assert np.all(rep.or_class == 0.0)
 
     def test_fraction_arithmetic(self):
         # class 0: 10 points; exactly 3 of them fully surrounded by class 1
@@ -222,13 +226,6 @@ class TestOverlapRatios:
         ds = Dataset(feats, labels, ("a", "b"))
         rep = overlap_ratios(ds, knn_k=5)
         assert rep.or_class[0] == pytest.approx(3 / 13)
-
-    def test_pair_formula(self):
-        # verify OR(i,j) = 0.5 * (N_ij/N_i + N_ji/N_j) on a constructed case
-        rep_counts = np.array([[0, 2], [4, 0]])
-        n = np.array([10, 20])
-        expected = 0.5 * (rep_counts[0, 1] / n[0] + rep_counts[1, 0] / n[1])
-        assert expected == pytest.approx(0.2)
 
     def test_pair_matrix_from_constructed_geometry(self):
         # two dense 1-D grids far apart; two class-0 intruders sit inside class 1's
@@ -243,10 +240,8 @@ class TestOverlapRatios:
         labels = np.array([0] * 10 + [1] * 9)
         ds = Dataset(feats, labels, ("a", "b"))
         rep = overlap_ratios(ds, knn_k=3)
-        assert rep.or_class[0] == pytest.approx(2 / 10)   # N_01 = 2 of 10
-        assert rep.or_class[1] == pytest.approx(1 / 9)    # N_10 = 1 of 9
-        assert rep.or_pair[0, 1] == pytest.approx(0.5 * (2 / 10 + 1 / 9))
-        assert rep.or_pair[0, 1] == rep.or_pair[1, 0]
+        assert rep.or_class[0] == pytest.approx(2 / 10)   # 2 of 10 flagged
+        assert rep.or_class[1] == pytest.approx(1 / 9)    # 1 of 9 flagged
         assert rep.or_dataset == pytest.approx(np.mean([2 / 10, 1 / 9]))
 
     def test_or_dataset_is_mean_of_classes(self, overlapping_imbalanced_ds):
@@ -260,19 +255,17 @@ class TestOverlapRatios:
         scaled = Dataset(ds.features * 7.5, ds.labels, ds.class_names)
         assert overlap_ratios(permuted, 5).or_dataset == pytest.approx(rep.or_dataset)
         assert overlap_ratios(scaled, 5).or_dataset == pytest.approx(rep.or_dataset)
-        assert np.allclose(overlap_ratios(scaled, 5).or_pair, rep.or_pair)
+        assert np.allclose(overlap_ratios(scaled, 5).or_class, rep.or_class)
 
     def test_own_class_tie_does_not_win_the_foreign_majority(self):
         # Six 1-D points and k=5, so every sample's neighbours are the other five.
         # Each class-0 sample sees two class-0, two class-2 and one class-1
-        # neighbour: flagged (3 foreign), and its own count ties the top foreign
-        # label's.  Its foreign majority is class 2, not its own smaller label.
+        # neighbour: its own count ties the top foreign label's, yet its 3
+        # foreign neighbours flag it.
         feats = np.array([[0.0], [1.0], [-4.0], [5.0], [-2.0], [3.0]])
         ds = Dataset(feats, np.array([0, 0, 0, 1, 2, 2]), ("a", "b", "c"))
         rep = overlap_ratios(ds, knn_k=5)
-        # N_02 = 3 of 3, N_10 = 1 of 1, N_20 = 2 of 2; no sample overlaps into its own class
         assert rep.or_class.tolist() == [1.0, 1.0, 1.0]
-        assert rep.or_pair.tolist() == [[0.0, 0.5, 1.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
     def test_too_few_samples(self):
         ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 1, 1]), ("a", "b"))

@@ -31,10 +31,12 @@ def two_class_1d_model():
 
 class TestFitNB:
     def test_two_point_variance(self):
-        model = fit_nb(np.array([[0.0], [2.0]]), np.array([0, 0]), 1)
+        x = np.array([[0.0], [2.0]])
+        model = fit_nb(x, np.array([0, 0]), 1)
         assert model.priors[0] == 1.0
         assert model.means[0, 0] == pytest.approx(1.0)
-        assert model.variances[0, 0] == pytest.approx(1.0 + model.smoothing)
+        expected_eps = max(1e-9 * x.var(axis=0).max(), 1e-12)
+        assert model.variances[0, 0] == 1.0 + expected_eps
 
     def test_priors_are_frequencies(self):
         y = np.concatenate([np.zeros(30, int), np.ones(70, int)])
@@ -66,7 +68,8 @@ class TestPosteriors:
         # N(1;1,1) / (N(1;1,1) + N(1;5,1)) = 1 / (1 + e^-8) ~= 0.99966
         model = two_class_1d_model()
         post = posteriors(model, np.array([[1.0], [1.0]]))
-        expected = 1.0 / (1.0 + math.exp(-8.0 * 1.0 / (1.0 + model.smoothing)))
+        eps = 1e-9 * np.var([0.0, 2.0, 4.0, 6.0])  # the whole training set's variance, 5
+        expected = 1.0 / (1.0 + math.exp(-8.0 * 1.0 / (1.0 + eps)))
         assert post.values[0, 0] == pytest.approx(expected, abs=1e-9)
         assert post.values[0, 0] == pytest.approx(0.99966, abs=5e-5)
 

@@ -85,7 +85,7 @@ def reference_prune(pool, x, y, n_pop, t_max, rng):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             voted = vote_from_predictions(preds, mask.astype(bool), pool.n_classes)
-            return classification_metrics(voted, y, pool.n_classes).macro_f1
+            return classification_metrics(voted, y, pool.n_classes)["f1"]
 
     m = pool.size
     preds = member_predictions(pool, x)
@@ -204,14 +204,14 @@ class TestPrune:
         pool = build_pool([OraclePredictor(x, y)], n_classes=2)
         result = prune(pool, x, y, n_pop=2, t_max=1, rng=np.random.default_rng(0))
         assert result.mask.tolist() == [1]
-        assert result.fitness == pytest.approx(1.0)
+        assert result.history[-1] == pytest.approx(1.0)
 
     def test_planted_oracle_found(self):
         x, y = self.fitness_data()
         pool = build_pool([FixedPredictor(0), FixedPredictor(1), OraclePredictor(x, y),
                            FixedPredictor(0)], n_classes=2)
         result = prune(pool, x, y, n_pop=20, t_max=50, rng=np.random.default_rng(1))
-        assert result.fitness == pytest.approx(1.0)
+        assert result.history[-1] == pytest.approx(1.0)
 
     def test_determinism(self):
         x, y = self.fitness_data()
@@ -219,7 +219,6 @@ class TestPrune:
         a = prune(pool, x, y, n_pop=10, t_max=20, rng=np.random.default_rng(3))
         b = prune(pool, x, y, n_pop=10, t_max=20, rng=np.random.default_rng(3))
         assert a.mask.tolist() == b.mask.tolist()
-        assert a.fitness == b.fitness
         assert a.history == b.history
 
     def test_history_monotone_nondecreasing(self):
@@ -240,7 +239,7 @@ class TestPrune:
         init_best = max(
             evaluate_mask(pool, digitize(probe.random(pool.size)), x, y) for _ in range(6))
         result = prune(pool, x, y, n_pop=6, t_max=10, rng=rng)
-        assert result.fitness >= init_best - 1e-12
+        assert result.history[-1] >= init_best - 1e-12
 
     def test_matches_exhaustive_enumeration_most_seeds(self):
         x, y = self.fitness_data()
@@ -249,7 +248,7 @@ class TestPrune:
         target = exhaustive_optimum(pool, x, y)
         hits = sum(
             prune(pool, x, y, n_pop=20, t_max=50,
-                  rng=np.random.default_rng(seed)).fitness >= target - 0.02
+                  rng=np.random.default_rng(seed)).history[-1] >= target - 0.02
             for seed in range(20))
         assert hits >= 16
 
@@ -257,7 +256,7 @@ class TestPrune:
         x, y = self.fitness_data()
         pool = build_pool([FixedPredictor(0), OraclePredictor(x, y)], 2)
         result = prune(pool, x, y, n_pop=6, t_max=10, rng=np.random.default_rng(2))
-        assert result.fitness == pytest.approx(evaluate_mask(pool, result.mask, x, y), abs=1e-12)
+        assert result.history[-1] == pytest.approx(evaluate_mask(pool, result.mask, x, y), abs=1e-12)
         assert int(result.mask.sum()) >= 1
 
     def test_bad_args(self):
@@ -290,7 +289,7 @@ class TestSearchUnchanged:
                                                  np.random.default_rng(seed))
         result = prune(pool, x, y, n_pop=n_pop, t_max=t_max, rng=np.random.default_rng(seed))
         assert result.mask.tolist() == mask.tolist()
-        assert result.fitness == fitness
+        assert result.history[-1] == fitness
         assert result.history == history
         assert len(result.history) == t_max
 
@@ -301,7 +300,7 @@ class TestSearchUnchanged:
         mask, fitness, history = reference_prune(pool, x, y, 6, 4, np.random.default_rng(seed))
         result = prune(pool, x, y, n_pop=6, t_max=4, rng=np.random.default_rng(seed))
         assert result.mask.tolist() == mask.tolist()
-        assert result.fitness == fitness
+        assert result.history[-1] == fitness
         assert result.history == history
 
     @staticmethod

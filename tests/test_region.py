@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from imbkit.data_model import Dataset
 from imbkit.posterior import PosteriorMatrix, fit_nb, posteriors
-from imbkit.region import (CORE, NOISY, OVERLAPPING, ClassThresholds, RegionAssignment,
-                           class_thresholds, noise_subset, partition)
+from imbkit.region import (CORE, NOISY, OVERLAPPING, RegionAssignment, class_thresholds,
+                           noise_subset, partition)
 from tests.conftest import make_blobs
 
 
@@ -18,25 +18,27 @@ class TestClassThresholds:
     def test_midpoint_arithmetic(self):
         # own-class posteriors {0.9, 0.7, 0.5}: mean 0.7, max 0.9, midpoint 0.8
         P = stochastic([[0.9, 0.1], [0.7, 0.3], [0.5, 0.5], [0.2, 0.8]])
-        T = class_thresholds(P, np.array([0, 0, 0, 1]))
-        assert T.mean_own[0] == pytest.approx(0.7)
-        assert T.max_own[0] == pytest.approx(0.9)
-        assert T.threshold[0] == pytest.approx(0.8)
+        labels = np.array([0, 0, 0, 1])
+        mean = class_thresholds(P, labels, mode="mean")
+        midpoint = class_thresholds(P, labels)
+        assert mean[0] == pytest.approx(0.7)
+        assert midpoint[0] == pytest.approx(0.8)
+        assert 2 * midpoint[0] - mean[0] == pytest.approx(0.9)  # the max
 
     def test_degenerate_all_ones(self):
         P = stochastic([[1.0, 0.0], [0.0, 1.0]])
         T = class_thresholds(P, np.array([0, 1]))
-        assert T.threshold.tolist() == [1.0, 1.0]
+        assert T.tolist() == [1.0, 1.0]
 
     def test_single_sample_mean_equals_max(self):
         P = stochastic([[0.65, 0.35], [0.2, 0.8]])
         T = class_thresholds(P, np.array([0, 1]))
-        assert T.threshold[0] == pytest.approx(0.65)
+        assert T[0] == pytest.approx(0.65)
 
     def test_mean_mode(self):
         P = stochastic([[0.9, 0.1], [0.7, 0.3], [0.5, 0.5], [0.2, 0.8]])
         T = class_thresholds(P, np.array([0, 0, 0, 1]), mode="mean")
-        assert T.threshold[0] == pytest.approx(0.7)
+        assert T[0] == pytest.approx(0.7)
 
     def test_threshold_between_mean_and_max(self):
         rng = np.random.default_rng(3)
@@ -44,10 +46,13 @@ class TestClassThresholds:
         P = stochastic(raw / raw.sum(axis=1, keepdims=True))
         labels = rng.integers(0, 3, size=30)
         labels[:3] = [0, 1, 2]
+        own = [P.values[labels == c, c] for c in range(3)]
+        mean_own = np.array([o.mean() for o in own])
+        max_own = np.array([o.max() for o in own])
+        assert np.array_equal(class_thresholds(P, labels, mode="mean"), mean_own)
         T = class_thresholds(P, labels)
-        assert np.all(T.mean_own <= T.max_own + 1e-15)
-        assert np.all(T.threshold >= T.mean_own - 1e-15)
-        assert np.all(T.threshold <= T.max_own + 1e-15)
+        assert np.all(T >= mean_own - 1e-15)
+        assert np.all(T <= max_own + 1e-15)
 
 
 class TestPartition:
@@ -72,18 +77,14 @@ class TestPartition:
         # sample 2 fails its own threshold but exceeds the other class's threshold
         P = stochastic([[0.9, 0.1], [0.5, 0.5], [0.4, 0.6], [0.05, 0.95]])
         labels = np.array([0, 0, 0, 1])
-        T = ClassThresholds(mean_own=np.array([0.6, 0.95]), max_own=np.array([0.9, 0.95]),
-                            threshold=np.array([0.75, 0.5]))
-        assign = partition(P, T, labels)
+        assign = partition(P, np.array([0.75, 0.5]), labels)
         assert assign.tags[0] == CORE          # 0.9 >= 0.75
         assert assign.tags[2] == OVERLAPPING   # 0.4 < 0.75 but 0.6 > 0.5
         assert assign.max_own_posterior[2] == pytest.approx(0.4)
 
     def test_noisy_fails_both(self):
         P = stochastic([[0.55, 0.45], [0.45, 0.55]])
-        T = ClassThresholds(mean_own=np.array([0.9, 0.9]), max_own=np.array([0.9, 0.9]),
-                            threshold=np.array([0.9, 0.9]))
-        assign = partition(P, T, np.array([0, 1]))
+        assign = partition(P, np.array([0.9, 0.9]), np.array([0, 1]))
         assert np.all(assign.tags == NOISY)
 
     @settings(max_examples=40, deadline=None)
@@ -102,8 +103,8 @@ class TestPartition:
         assign = partition(P, T, labels)
         own = P.values[np.arange(m), labels]
         for i in range(m):
-            others_exceed = any(P.values[i, k] > T.threshold[k] for k in range(n) if k != labels[i])
-            if own[i] >= T.threshold[labels[i]]:
+            others_exceed = any(P.values[i, k] > T[k] for k in range(n) if k != labels[i])
+            if own[i] >= T[labels[i]]:
                 assert assign.tags[i] == CORE
             elif others_exceed:
                 assert assign.tags[i] == OVERLAPPING
@@ -118,9 +119,7 @@ class TestPartition:
         labels[:3] = [0, 1, 2]
         T = class_thresholds(P, labels)
         assign_lo = partition(P, T, labels)
-        T_hi = ClassThresholds(mean_own=T.mean_own, max_own=T.max_own,
-                               threshold=T.threshold + 0.05)
-        assign_hi = partition(P, T_hi, labels)
+        assign_hi = partition(P, T + 0.05, labels)
         moved = (assign_lo.tags == NOISY) & (assign_hi.tags == CORE)
         assert not moved.any()
 

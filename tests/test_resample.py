@@ -29,13 +29,12 @@ def omrp_reference(class_data, others, needed, knn_k, rng, max_attempts_factor):
 
     The reference for the array version: same draws, same acceptance order,
     shortfall filled by (-margin, rejection order).
-    Returns (samples, parents, neighbors, alphas, attempts, accepted, shortfall).
+    Returns (samples, attempts, accepted, shortfall).
     """
     n = class_data.shape[0]
     nb_table = resample._neighbor_table(class_data, knn_k)
     cap = max(needed * max_attempts_factor, resample.MIN_ATTEMPT_CAP)
-    kept_x, kept_p, kept_nb, kept_a = [], [], [], []
-    rej_x, rej_p, rej_nb, rej_a, rej_margin = [], [], [], [], []
+    kept_x, rej_x, rej_margin = [], [], []
     attempts = 0
     chunk = max(needed, 64)
     while len(kept_x) < needed and attempts < cap:
@@ -50,23 +49,32 @@ def omrp_reference(class_data, others, needed, knn_k, rng, max_attempts_factor):
         for i in range(size):
             attempts += 1
             if margins[i] >= 0.0:
-                kept_x.append(cands[i]); kept_p.append(parents[i])
-                kept_nb.append(neighbors[i]); kept_a.append(alphas[i])
+                kept_x.append(cands[i])
                 if len(kept_x) == needed:
                     break
             else:
-                rej_x.append(cands[i]); rej_p.append(parents[i])
-                rej_nb.append(neighbors[i]); rej_a.append(alphas[i])
+                rej_x.append(cands[i])
                 rej_margin.append(margins[i])
     accepted = len(kept_x)
     shortfall = needed - accepted
     if shortfall > 0:
         order = np.lexsort((np.arange(len(rej_margin)), -np.asarray(rej_margin)))[:shortfall]
-        for i in order:
-            kept_x.append(rej_x[i]); kept_p.append(rej_p[i])
-            kept_nb.append(rej_nb[i]); kept_a.append(rej_a[i])
-    return (np.asarray(kept_x), np.asarray(kept_p, dtype=np.int64),
-            np.asarray(kept_nb, dtype=np.int64), np.asarray(kept_a), attempts, accepted, shortfall)
+        kept_x += [rej_x[i] for i in order]
+    return np.asarray(kept_x), attempts, accepted, shortfall
+
+
+def assert_on_neighbor_segments(samples, class_data, knn_k):
+    """Each sample is p + alpha (q - p), alpha in [0, 1), for a class row p and one of
+    p's ``_neighbor_table`` neighbours q."""
+    nb_table = resample._neighbor_table(class_data, knn_k)
+    segments = [(p, class_data[q] - p) for p, row in zip(class_data, nb_table) for q in row]
+
+    def on_segment(x, p, d):
+        a = (x - p) @ d / (d @ d) if d.any() else 0.0
+        return -1e-12 <= a < 1.0 and np.allclose(p + a * d, x, atol=1e-12)
+
+    for x in samples:
+        assert any(on_segment(x, p, d) for p, d in segments), x
 
 
 class TestBalancePlan:
@@ -114,9 +122,6 @@ class TestOmrp:
                              rng=np.random.default_rng(0))
             assert batch.samples.shape == (0, 2)
             assert batch.attempts_used == batch.accepted_count == batch.shortfall == 0
-            for arr, dtype in ((batch.parents, np.int64), (batch.neighbors, np.int64),
-                               (batch.alphas, np.float64)):
-                assert arr.shape == (0,) and arr.dtype == dtype
 
     def test_two_tight_clusters(self):
         rng = np.random.default_rng(1)
@@ -128,11 +133,8 @@ class TestOmrp:
         # every synthetic point passes an independent penalty recheck
         for x in batch.samples:
             assert penalty_accept(x, own, other)
-        # and lies on the segment between its parent and neighbor
-        for x, p, nb, a in zip(batch.samples, batch.parents, batch.neighbors, batch.alphas):
-            assert 0.0 <= a < 1.0
-            expected = own[p] + a * (own[nb] - own[p])
-            assert np.allclose(x, expected, atol=1e-12)
+        # and lies on the segment between a class sample and one of its neighbors
+        assert_on_neighbor_segments(batch.samples, own, knn_k=5)
 
     def test_hopeless_geometry_falls_back_with_warning(self):
         # the other class densely covers the whole segment between the two own
@@ -161,7 +163,7 @@ class TestOmrp:
         a = omrp(own, other, needed=10, rng=rng_a)
         b = omrp(own, other, needed=10, rng=rng_b)
         assert np.array_equal(a.samples, b.samples)
-        assert np.array_equal(a.alphas, b.alphas)
+        assert (a.attempts_used, a.accepted_count) == (b.attempts_used, b.accepted_count)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -180,10 +182,7 @@ class TestOmrp:
             warnings.simplefilter("ignore", PipelineWarning)
             batch = omrp(own, other, needed, knn_k=5, rng=np.random.default_rng(seed + 1))
         assert batch.samples.shape[0] == needed
-        assert np.all((batch.alphas >= 0.0) & (batch.alphas < 1.0))
-        parents = own[batch.parents]
-        reconstructed = parents + batch.alphas[:, None] * (own[batch.neighbors] - parents)
-        assert np.allclose(batch.samples, reconstructed, atol=1e-12)
+        assert_on_neighbor_segments(batch.samples, own, knn_k=5)
         # the first accepted_count samples passed the penalty; recheck independently
         for x in batch.samples[:batch.accepted_count]:
             assert penalty_accept(x, own, other)
@@ -203,12 +202,9 @@ class TestOmrp:
             batch = omrp(own, other, needed, knn_k=knn_k, rng=np.random.default_rng(seed + 1),
                          max_attempts_factor=factor)
         want = omrp_reference(own, other, needed, knn_k, np.random.default_rng(seed + 1), factor)
-        got = (batch.samples, batch.parents, batch.neighbors, batch.alphas,
-               batch.attempts_used, batch.accepted_count, batch.shortfall)
         event(f"shortfall={batch.shortfall > 0}")
-        for g, w in zip(got[:4], want[:4]):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
-        assert got[4:] == want[4:]
+        assert batch.samples.shape == want[0].shape and batch.samples.tobytes() == want[0].tobytes()
+        assert (batch.attempts_used, batch.accepted_count, batch.shortfall) == want[1:]
 
 
 def cleaned_pipeline(ds, **overrides):
