@@ -102,6 +102,8 @@ def _normalize_pool(raw):
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:

@@ -89,7 +89,7 @@ class Dataset:
 
 
 def load_csv(path, label_column) -> Dataset:
-    """Read a comma-separated, UTF-8, headered file into a Dataset.
+    """Read a comma-separated, UTF-8, headered file into a Dataset; a leading byte-order mark is dropped.
 
     ``label_column`` selects the class column by header name or zero-based
     index.  Every other cell must parse as a real number; missing values are
@@ -99,7 +99,7 @@ def load_csv(path, label_column) -> Dataset:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such file: {p}")
-    with open(p, newline="", encoding="utf-8") as f:
+    with open(p, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -5,7 +5,7 @@ so they are not exact differences; ``nearest`` is exact on the cells it gets.
 Each cell is the identity on its own ``NEAREST_BLOCK``-row block of ``a``, so
 slicing ``a`` at a multiple of that block leaves every cell unchanged.  Every
 caller in the pipeline reduces its matrix row by row (k nearest, minimum or
-median), and uses that to call ``pairwise_sq`` on ``row_chunks`` of at most
+median) through ``reduce_rows``, which computes it in row chunks of at most
 ``CHUNK_CELLS`` cells: none holds an m x n matrix.
 """
 
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and ``nearest``; bounds their temporaries to 64 x n
-CHUNK_CELLS = 2**18  # cells (2 MB) per ``pairwise_sq`` call of a row-reducing caller
+NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and per step of ``_row_chunks``
+CHUNK_CELLS = 2**18  # cells (2 MB) per distance call of ``reduce_rows``
 TAIL_CELLS = 2**15  # cells (256 KB) per pass of the identity's elementwise tail in ``pairwise_sq``
 
 
@@ -52,14 +52,36 @@ def pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq
 
 
-def row_chunks(m: int, n: int) -> list:
-    """Row slices of an (m, n) distance matrix for a caller that reduces it row by row.
+def _row_chunks(m: int, n: int) -> list:
+    """Row slices of an (m, n) distance matrix, for ``reduce_rows``.
 
     Each starts at a multiple of ``NEAREST_BLOCK`` (so its cells equal the whole
     matrix's) and holds at most ``CHUNK_CELLS`` cells, or one block if a block is wider.
     """
     step = NEAREST_BLOCK * max(1, CHUNK_CELLS // (NEAREST_BLOCK * max(n, 1)))
     return [slice(start, min(start + step, m)) for start in range(0, m, step)]
+
+
+def reduce_rows(distance, a: np.ndarray, b: np.ndarray, reduce, *, exclude_self: bool = False) -> np.ndarray:
+    """Row-wise ``reduce(distance(a, b))``, computed on ``_row_chunks`` of ``a``.
+
+    Callers pass ``pairwise_sq`` or ``pairwise`` by their own module's name for
+    it, so a patched binding is the one called.  ``reduce`` maps a chunk to one
+    result row per chunk row and may overwrite the chunk; by the slicing
+    property the joined result equals the whole matrix's.  ``exclude_self``
+    (``b`` is ``a``) sets each row's own cell to ``inf``.  Each chunk is freed
+    before the next is allocated: with two alive, malloc trims the heap and
+    faults it in again (about 870 page faults per 3,200-row overlap-ratio
+    call).  With no rows in ``a``, ``reduce`` gets an empty (0, len(b)) matrix.
+    """
+    parts = []
+    for rows in _row_chunks(len(a), len(b)):
+        chunk = distance(a[rows], b)
+        if exclude_self:
+            np.fill_diagonal(chunk[:, rows], np.inf)
+        parts.append(reduce(chunk))
+        del chunk
+    return np.concatenate(parts) if parts else reduce(np.empty((0, len(b))))
 
 
 def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -69,11 +91,8 @@ def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def min_dist(points: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Per-point distance to the nearest reference sample, over ``row_chunks`` of the points."""
-    out = np.empty(len(points))
-    for rows in row_chunks(len(points), len(reference)):
-        out[rows] = pairwise_sq(points[rows], reference).min(axis=1)
-    return np.sqrt(out, out=out)
+    """Per-point distance to the nearest reference sample."""
+    return np.sqrt(reduce_rows(pairwise_sq, points, reference, lambda sq: sq.min(axis=1)))
 
 
 def nearest(sq: np.ndarray, k: int) -> np.ndarray:
@@ -81,7 +100,8 @@ def nearest(sq: np.ndarray, k: int) -> np.ndarray:
 
     Equal to ``np.argsort(sq, axis=1, kind="stable")[:, :k]`` with ``k`` clamped
     to the row length, so ties fall to the lower index, for any NaN-free ``sq``
-    (``inf`` allowed).  Per ``NEAREST_BLOCK`` rows, the columns form ``min(n, 4k)``
+    (``inf`` allowed).  It selects over the whole of ``sq``, which in the
+    pipeline is one ``reduce_rows`` chunk.  The columns form ``min(n, 4k)``
     contiguous groups (the last one takes the remainder), and a row's k-th
     smallest group minimum bounds it: those k minima are k distinct entries at
     or below it, so the row's first k in (value, index) order all lie ``<=`` it.
@@ -90,17 +110,12 @@ def nearest(sq: np.ndarray, k: int) -> np.ndarray:
     sq = np.asarray(sq)
     m, n = sq.shape
     k = max(0, min(int(k), n))
-    out = np.empty((m, k), dtype=np.intp)
     if k == 0:
-        return out
+        return np.empty((m, 0), dtype=np.intp)
     g = min(n, 4 * k)  # 4k, not k, groups: with k the bound admits far more candidates on class-sorted rows
-    edges = np.arange(g) * (n // g)
-    for start in range(0, m, NEAREST_BLOCK):
-        block = sq[start:start + NEAREST_BLOCK]
-        bound = np.partition(np.minimum.reduceat(block, edges, axis=1), k - 1, axis=1)[:, k - 1, None]
-        flat = np.flatnonzero(block <= bound)  # row-major, so already in (row, index) order
-        row = flat // n
-        flat = flat[np.lexsort((block.ravel()[flat], row))]  # stable: equal values keep index order
-        first = np.searchsorted(row, np.arange(block.shape[0]))
-        out[start:start + NEAREST_BLOCK] = flat[first[:, None] + np.arange(k)] % n
-    return out
+    bound = np.partition(np.minimum.reduceat(sq, np.arange(g) * (n // g), axis=1), k - 1, axis=1)[:, k - 1, None]
+    flat = np.flatnonzero(sq <= bound)  # row-major, so already in (row, index) order
+    row = flat // n
+    flat = flat[np.lexsort((sq.ravel()[flat], row))]  # stable: equal values keep index order
+    first = np.searchsorted(row, np.arange(m))
+    return flat[first[:, None] + np.arange(k)] % n

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import nearest, pairwise_sq, row_chunks
+from .distances import nearest, pairwise_sq, reduce_rows
 from .posterior import fit_nb, log_joint
 
 
@@ -36,9 +36,7 @@ class KNNClassifier:
 
     def predict(self, features):
         x = np.asarray(features, dtype=np.float64)
-        nb = np.empty((len(x), min(self.k, len(self._x))), dtype=np.intp)
-        for rows in row_chunks(len(x), len(self._x)):  # one chunk's distances at a time
-            nb[rows] = nearest(pairwise_sq(x[rows], self._x), self.k)  # distance ties fall to lower index
+        nb = reduce_rows(pairwise_sq, x, self._x, lambda sq: nearest(sq, self.k))  # ties fall to lower index
         return count_votes(self._y[nb].T, self.n_classes).argmax(axis=0)
 
 

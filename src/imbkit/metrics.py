@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, PipelineWarning
-from .distances import nearest, pairwise_sq, row_chunks
+from .distances import nearest, pairwise_sq, reduce_rows
 
 
 def confusion_matrix(preds: np.ndarray, truth: np.ndarray, n_classes: int) -> np.ndarray:
@@ -113,13 +113,7 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
     if m < knn_k + 1:
         raise ValueError(f"need at least knn_k+1={knn_k + 1} samples, have {m}")
     n = ds.n_classes
-    nb = np.empty((m, knn_k), dtype=np.intp)
-    for rows in row_chunks(m, m):  # one chunk's distances at a time, never m x m
-        sq = pairwise_sq(ds.features[rows], ds.features)
-        np.fill_diagonal(sq[:, rows], np.inf)  # the chunk's own rows
-        nb[rows] = nearest(sq, knn_k)
-        del sq  # freed before the next chunk is allocated: with two alive, malloc still trims the
-        # heap and faults it in again (about 870 page faults per 3,200-row call, none with the del)
+    nb = reduce_rows(pairwise_sq, ds.features, ds.features, lambda sq: nearest(sq, knn_k), exclude_self=True)
     foreign = ds.labels[nb] != ds.labels[:, None]
     flagged = foreign.sum(axis=1) >= int(np.ceil(knn_k / 2))
     or_class = np.bincount(ds.labels[flagged], minlength=n) / ds.class_counts()

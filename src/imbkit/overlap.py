@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .distances import pairwise, row_chunks
+from .distances import pairwise, reduce_rows
 from .region import CORE, OVERLAPPING, RegionAssignment
 
 KEEP_MODES = ("after", "before")
@@ -60,10 +60,8 @@ def gap_profile(ds: Dataset, assignment: RegionAssignment, class_id: int,
     if ref.size == 0:
         raise ValueError(f"no other-class core/overlap samples to reference for class {class_id}")
 
-    own_x, ref_x = ds.features[own], ds.features[ref]
-    med = np.empty(own.size)
-    for rows in row_chunks(own.size, ref.size):  # one chunk's distances at a time
-        med[rows] = np.median(pairwise(own_x[rows], ref_x), axis=1, overwrite_input=True)
+    med = reduce_rows(pairwise, ds.features[own], ds.features[ref],
+                      lambda d: np.median(d, axis=1, overwrite_input=True))
     order = np.lexsort((own, med))
     ordered, dists = own[order], med[order]
     jump = gap_statistics(dists, z_threshold)[-1]

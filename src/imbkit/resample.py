@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, PipelineWarning
-from .distances import min_dist, nearest, pairwise_sq, row_chunks
+from .distances import min_dist, nearest, pairwise_sq, reduce_rows
 
 MIN_ATTEMPT_CAP = 500
 
@@ -42,15 +42,8 @@ class SyntheticBatch:
 
 def _neighbor_table(class_data: np.ndarray, knn_k: int) -> np.ndarray:
     """Per sample: its min(knn_k, n-1) nearest same-class neighbors, ties by index."""
-    m = class_data.shape[0]
-    k = max(0, min(knn_k, m - 1))
-    nb = np.empty((m, k), dtype=np.intp)
-    for rows in row_chunks(m, m):  # one chunk's distances at a time, never m x m
-        sq = pairwise_sq(class_data[rows], class_data)
-        np.fill_diagonal(sq[:, rows], np.inf)  # the chunk's own rows
-        nb[rows] = nearest(sq, k)
-        del sq  # freed before the next chunk, as in ``metrics.overlap_ratios``
-    return nb
+    k = max(0, min(knn_k, class_data.shape[0] - 1))
+    return reduce_rows(pairwise_sq, class_data, class_data, lambda sq: nearest(sq, k), exclude_self=True)
 
 
 def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5, *,

@@ -230,6 +230,15 @@ class TestWrongTypedConfig:
         assert name in err and "must be of type" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("top,found", [(3, "int"), (["seed"], "list"), (None, "NoneType")])
+    def test_config_file_not_an_object_exits_2(self, top, found, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(top))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config must be a JSON object, got {found}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,text", [("--folds", "2.5"), ("--jaya-iters", "3.0"),
                                            ("--seed", "true"), ("--z-threshold", "two")])
     def test_flag_rejected_by_argparse(self, flag, text, dataset_csv, tmp_path, capsys):

@@ -28,6 +28,14 @@ class TestLoadCsv:
         original = ["red", "blue", "red", "green"]
         assert [ds.class_names[l] for l in ds.labels] == original
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one; a label column named first must still match
+        text = "class,f1,f2\na,1,2\nb,3,4\na,5,6\n"
+        want = load_csv(write_csv(tmp_path, text), "class")
+        got = load_csv(write_csv(tmp_path, "\ufeff" + text, name="marked.csv"), "class")
+        assert np.array_equal(got.features, want.features) and np.array_equal(got.labels, want.labels)
+        assert got.class_names == want.class_names == ("a", "b")
+
     def test_label_column_by_index(self, tmp_path):
         p = write_csv(tmp_path, "a,b,c\n1,x,2\n3,y,4\n")
         ds = load_csv(p, 1)

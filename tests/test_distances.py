@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbkit.data_model import load_csv, minmax_scale
-from imbkit.distances import (CHUNK_CELLS, NEAREST_BLOCK, TAIL_CELLS, min_dist, nearest, pairwise, pairwise_sq,
-                              row_chunks)
+from imbkit.distances import (CHUNK_CELLS, NEAREST_BLOCK, TAIL_CELLS, _row_chunks, min_dist, nearest, pairwise,
+                              pairwise_sq, reduce_rows)
 from imbkit.learners import KNNClassifier, count_votes
 from imbkit.metrics import overlap_ratios
 from imbkit.overlap import gap_profile
@@ -270,7 +270,7 @@ def multi_chunk_ds(request, data_dir):
 
 
 def several_ragged_chunks(m, n):
-    chunks = row_chunks(m, n)
+    chunks = _row_chunks(m, n)
     sizes = [c.stop - c.start for c in chunks]
     return len(chunks) > 2 and sizes[-1] < sizes[0]
 
@@ -318,7 +318,7 @@ class TestChunkedReducersMatchWholeMatrix:
     def test_gap_profile(self, multi_chunk_ds):
         assignment = own_class_overlapping(multi_chunk_ds)
         own, ref = multi_chunk_ds.labels == 0, multi_chunk_ds.labels != 0
-        chunks = row_chunks(np.count_nonzero(own), np.count_nonzero(ref))
+        chunks = _row_chunks(np.count_nonzero(own), np.count_nonzero(ref))
         assert len(chunks) >= 2 and chunks[-1].stop - chunks[-1].start < chunks[0].stop - chunks[0].start
         med = np.median(pairwise(multi_chunk_ds.features[own], multi_chunk_ds.features[ref]), axis=1,
                         overwrite_input=True)
@@ -326,6 +326,24 @@ class TestChunkedReducersMatchWholeMatrix:
         order = np.lexsort((np.flatnonzero(own), med))
         assert np.array_equal(profile.ordered_samples, np.flatnonzero(own)[order])
         assert np.array_equal(profile.distances, med[order])
+
+
+class TestZeroRowQueries:
+    """A query of no rows computes no distance and returns the reducer's empty output."""
+
+    def test_knn_predict(self):
+        x = np.random.default_rng(0).random((10, 3))
+        clf = KNNClassifier(k=3).fit(x, np.arange(10) % 2, 2)
+        assert clf.predict(np.empty((0, 3))).shape == (0,)
+
+    def test_min_dist(self):
+        got = min_dist(np.empty((0, 3)), np.ones((4, 3)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_reduce_rows_calls_no_distance(self):
+        def no_call(a, b):
+            raise AssertionError("distance computed for a query of no rows")
+        assert reduce_rows(no_call, np.empty((0, 3)), np.ones((4, 3)), lambda sq: nearest(sq, 2)).shape == (0, 2)
 
 
 def traced_peak(fn, *args):
@@ -390,7 +408,7 @@ class TestOneDistanceMatrixPerCall:
 
 
 class TestChunkedReducersMemory:
-    """No row-reducing caller holds an m x n matrix, only ``row_chunks`` of it."""
+    """No row-reducing caller holds an m x n matrix, only ``reduce_rows`` chunks of it."""
 
     BOUND = 0.25  # in units of one (m, m) float64 matrix
     CHUNK_BOUND = 2 * CHUNK_CELLS * 8  # bytes: two chunks' worth of float64 cells

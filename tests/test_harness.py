@@ -1,6 +1,7 @@
 import itertools
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ class TestRunCv:
         assert aborted and all("single" in fr.reason for fr in aborted)
         # completed folds still report metrics
         assert any(fr.status == "ok" and fr.metrics for fr in rep.folds)
+
+    def test_empty_test_folds_abort_at_scoring(self, data_dir):
+        # 230 folds of new-thyroid's 215 rows: 80 test folds are empty; the kNN
+        # member predicts no rows and the fold aborts where it is scored
+        rep = run_cv(RunConfig(data_path=str(data_dir / "new-thyroid.csv"), folds=230, repeats=1,
+                               jaya_pop=4, jaya_iters=2))
+        assert Counter(fr.reason for fr in rep.folds) == {None: 150, "ValueError: no labels to score": 80}
 
     def test_nan_posteriors_abort_fold_at_partition(self):
         # a feature at 1e160 overflows its variance, so every posterior is NaN:
