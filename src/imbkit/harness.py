@@ -139,6 +139,8 @@ def overlap_ratio(ds: Dataset, knn_k: int) -> float | None:
 
 def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
               config: RunConfig, repeat: int, fold: int, memo: dict | None) -> FoldResult:
+    if len(test_idx) == 0:  # more folds than a class has rows: abort before any stage trains
+        raise ValueError(f"repeat {repeat}, fold {fold}: empty test set, nothing to score")
     seed = config.seed
     result = FoldResult(repeat=repeat, fold=fold, status="ok")
     clock = time.perf_counter

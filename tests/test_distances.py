@@ -17,8 +17,8 @@ from tests.conftest import make_blobs
 
 
 def argsort_oracle(sq, k):
-    """The selection ``nearest`` must reproduce: a stable full-row sort, first k columns."""
-    return np.argsort(sq, axis=1, kind="stable")[:, :max(0, k)]
+    """The selection ``nearest`` must reproduce: a stable full-row sort of the clipped matrix, first k columns."""
+    return np.argsort(np.maximum(sq, 0.0), axis=1, kind="stable")[:, :max(0, k)]
 
 
 @st.composite
@@ -65,6 +65,21 @@ class TestNearest:
     def test_rows_not_a_multiple_of_the_block(self):
         sq = np.random.default_rng(3).integers(0, 4, size=(2 * NEAREST_BLOCK + 7, 20)) * 1.0
         assert np.array_equal(nearest(sq, 5), argsort_oracle(sq, 5))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_matrices(), st.integers(0, 2**32 - 1))
+    def test_tiny_negative_entries_equal_argsort_of_the_clipped_matrix(self, case, seed):
+        # the identity leaves equal rows a tiny negative apart; nearest ranks them as the clipped 0 they stand for
+        sq, k = case
+        rng = np.random.default_rng(seed)
+        negative = rng.random(sq.shape) < 0.3
+        sq[negative] = -rng.random(np.count_nonzero(negative)) * 1e-15
+        assert np.array_equal(nearest(sq, k), argsort_oracle(sq, k))
+
+    def test_negatives_tie_with_zero_by_index(self):
+        sq = np.array([[0.5, -1e-16, 0.0, -2e-16, 1.0]])
+        assert np.argsort(sq, axis=1, kind="stable")[0, :3].tolist() == [3, 1, 2]  # the unclipped order
+        assert nearest(sq, 3).tolist() == [[1, 2, 3]]
 
     def test_kth_value_tied_outside_the_shortlist(self):
         # 2 entries below the 3rd value 1.0 and five entries equal to it: the
@@ -187,7 +202,7 @@ class TestCallersMatchArgsortOracle:
 
 
 def identity_oracle(a, b):
-    """The identity ``pairwise_sq`` must match cell for cell: on each
+    """The unclipped identity ``pairwise_sq`` must match cell for cell: on each
     ``NEAREST_BLOCK``-row block of ``a`` against the whole of ``b``.
 
     Each block's product is called on a slice of the caller's own ``a``, so a
@@ -198,7 +213,7 @@ def identity_oracle(a, b):
     aa = (a * a).sum(axis=1)
     bb = (b * b).sum(axis=1)
     return np.vstack([
-        np.maximum(aa[s:s + NEAREST_BLOCK, None] + bb[None, :] - 2.0 * (a[s:s + NEAREST_BLOCK] @ b.T), 0.0)
+        aa[s:s + NEAREST_BLOCK, None] + bb[None, :] - 2.0 * (a[s:s + NEAREST_BLOCK] @ b.T)
         for s in range(0, a.shape[0], NEAREST_BLOCK)])
 
 
@@ -218,7 +233,7 @@ class TestPairwiseCells:
         got = pairwise_sq(a, a)
         assert got.shape == (rows, rows)
         assert np.array_equal(got, identity_oracle(a, a))
-        assert np.array_equal(pairwise(a, a), np.sqrt(identity_oracle(a, a)))
+        assert np.array_equal(pairwise(a, a), np.sqrt(np.maximum(identity_oracle(a, a), 0.0)))
 
     @pytest.mark.parametrize("rows", ROW_COUNTS)
     def test_query_against_train_equals_the_identity(self, vehicle_features, rows):
@@ -226,7 +241,7 @@ class TestPairwiseCells:
         got = pairwise_sq(query, train)
         assert got.shape == (rows, 500)
         assert np.array_equal(got, identity_oracle(query, train))
-        assert np.array_equal(pairwise(query, train), np.sqrt(identity_oracle(query, train)))
+        assert np.array_equal(pairwise(query, train), np.sqrt(np.maximum(identity_oracle(query, train), 0.0)))
 
     # a block's tail runs in pieces of TAIL_CELLS // width rows: 63 + 1 rows, and 10-row pieces with a 4-row last
     @pytest.mark.parametrize("width", [TAIL_CELLS // NEAREST_BLOCK + 1, 3210])
@@ -236,6 +251,64 @@ class TestPairwiseCells:
         train = np.resize(vehicle_features, (width, vehicle_features.shape[1]))  # repeats the rows
         query = vehicle_features[-rows:]
         assert np.array_equal(pairwise_sq(query, train), identity_oracle(query, train))
+
+
+    def test_duplicate_rows_are_exactly_zero_apart(self, data_dir):
+        # scaled vehicle rows stacked twice: some duplicate pairs have a negative identity cell
+        a = minmax_scale(load_csv(data_dir / "vehicle.csv", "class"))[0].features[:40]
+        x = np.vstack([a, a])
+        own = (np.arange(80), np.arange(80) % 40)  # each row against the first copy of itself
+        sq = pairwise_sq(x, x)
+        negative = sq[own] < 0.0
+        assert np.any(negative)
+        got = pairwise(x, x)
+        assert not np.isnan(got).any()
+        assert np.all(got[own][negative] == 0.0)
+        closest = min_dist(x, x)
+        assert not np.isnan(closest).any()
+        assert np.all(closest[sq.min(axis=1) < 0.0] == 0.0)
+
+
+class TestOverflowingNorms:
+    """Features whose squared norms overflow float64 raise a named error, not NaN cells."""
+
+    @pytest.fixture
+    def huge(self):
+        rng = np.random.default_rng(0)
+        return 1e154 + rng.random((60, 3)) * 1e150 * np.arange(1, 61)[:, None]
+
+    def test_direct_calls_raise(self, huge):
+        for fn in (pairwise_sq, pairwise, min_dist):
+            with pytest.raises(ValueError, match="squared row norms overflow"):
+                fn(huge, huge)
+        with pytest.raises(ValueError, match="squared row norms overflow"):
+            pairwise_sq(np.ones((2, 3)), huge)  # the largest term is max(aa) + max(bb)
+
+    def test_largest_finite_scale_does_not_raise(self, huge):
+        x = huge / 10.0
+        assert np.isfinite(pairwise(x, x)).all()
+
+
+class TestNormsOncePerCall:
+    def test_one_norm_vector_for_every_chunk(self, multi_chunk_ds):
+        x = multi_chunk_ds.features
+        seen = []
+
+        def recording(a, b, norms):
+            seen.append(norms)
+            return pairwise_sq(a, b, norms)
+
+        got = reduce_rows(recording, x, x, lambda sq: sq.min(axis=1))
+        assert len(seen) == len(_row_chunks(len(x), len(x))) > 2
+        assert all(norms is seen[0] for norms in seen)
+        assert np.array_equal(seen[0], (x * x).sum(axis=1))
+        assert np.array_equal(got, pairwise_sq(x, x).min(axis=1))
+
+    def test_given_norms_equal_computed_ones(self, vehicle_features):
+        a, b = vehicle_features[:70], vehicle_features[100:400]
+        norms = (b * b).sum(axis=1)
+        assert np.array_equal(pairwise_sq(a, b, norms), pairwise_sq(a, b))
+        assert np.array_equal(pairwise(a, b, norms), pairwise(a, b))
 
 
 @st.composite
@@ -296,7 +369,7 @@ class TestChunkedReducersMatchWholeMatrix:
     def test_min_dist(self, multi_chunk_ds, step):
         points, reference = multi_chunk_ds.features, multi_chunk_ds.features[::step]
         assert several_ragged_chunks(len(points), len(reference))
-        ref = np.sqrt(pairwise_sq(points, reference).min(axis=1))
+        ref = np.sqrt(np.maximum(pairwise_sq(points, reference).min(axis=1), 0.0))
         assert np.array_equal(min_dist(points, reference), ref)
 
     @pytest.mark.parametrize("k", [1, 3])

@@ -103,12 +103,30 @@ class TestRunCv:
         # completed folds still report metrics
         assert any(fr.status == "ok" and fr.metrics for fr in rep.folds)
 
-    def test_empty_test_folds_abort_at_scoring(self, data_dir):
-        # 230 folds of new-thyroid's 215 rows: 80 test folds are empty; the kNN
-        # member predicts no rows and the fold aborts where it is scored
+    def test_empty_test_folds_abort_before_training(self, data_dir, monkeypatch):
+        # 230 folds of new-thyroid's 215 rows: 80 test folds are empty and abort
+        # before the partition, so no stage trains on a fold that cannot be scored
+        partitioned = []
+        monkeypatch.setattr(harness, "partition_regions",
+                            lambda ds, config, run=harness.partition_regions: partitioned.append(1) or run(ds, config))
         rep = run_cv(RunConfig(data_path=str(data_dir / "new-thyroid.csv"), folds=230, repeats=1,
                                jaya_pop=4, jaya_iters=2))
-        assert Counter(fr.reason for fr in rep.folds) == {None: 150, "ValueError: no labels to score": 80}
+        assert Counter(fr.status for fr in rep.folds) == {"ok": 150, "aborted": 80}
+        assert len(partitioned) == 150
+        for fr in rep.folds:
+            if fr.status == "aborted":
+                assert fr.reason == f"ValueError: repeat 0, fold {fr.fold}: empty test set, nothing to score"
+
+    def test_overflowing_squared_norms_abort_every_fold(self):
+        # finite features near 1e154 pass the data and posterior checks, but
+        # their squared norms overflow: the identity would give NaN distances
+        rng = np.random.default_rng(0)
+        x = 1e154 + rng.random((60, 3)) * 1e150 * np.arange(1, 61)[:, None]
+        ds = Dataset(x, np.arange(60) % 2, ("a", "b"))
+        rep = run_cv(RunConfig(folds=2, repeats=1, jaya_pop=4, jaya_iters=2), dataset=ds)
+        assert rep.partial
+        assert all(fr.status == "aborted" and fr.reason.startswith("ValueError: squared row norms overflow")
+                   for fr in rep.folds)
 
     def test_nan_posteriors_abort_fold_at_partition(self):
         # a feature at 1e160 overflows its variance, so every posterior is NaN:
