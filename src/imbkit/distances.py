@@ -13,6 +13,7 @@ block leaves every cell unchanged.  Every caller in the pipeline reduces its
 matrix row by row (k nearest, minimum or median) through ``reduce_rows``, which
 computes it in row chunks of at most ``CHUNK_CELLS`` cells, none holding an
 m x n matrix, with ``b``'s squared norms computed once per call.
+``restrict_nearest`` reads a subset's k nearest from a whole set's K nearest.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ import numpy as np
 NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and per step of ``_row_chunks``
 CHUNK_CELLS = 2**18  # cells (2 MB) per distance call of ``reduce_rows``
 TAIL_CELLS = 2**15  # cells (256 KB) per pass of the identity's elementwise tail in ``pairwise_sq``
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared row norms; an overflow gives ``inf`` without a warning, and ``pairwise_sq`` raises for it."""
+    with np.errstate(over="ignore"):
+        return (x * x).sum(axis=1)
 
 
 def pairwise_sq(a: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
@@ -50,9 +57,11 @@ def pairwise_sq(a: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None) -
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1) if norms is None else norms
-    if not np.isfinite(aa.max(initial=0.0) + bb.max(initial=0.0)):
+    aa = _sq_norms(a)
+    bb = _sq_norms(b) if norms is None else norms
+    with np.errstate(over="ignore"):
+        largest = aa.max(initial=0.0) + bb.max(initial=0.0)
+    if not np.isfinite(largest):
         raise ValueError("squared row norms overflow float64 in the distance identity; rescale the features")
     piece = max(1, TAIL_CELLS // max(b.shape[0], 1))  # rows per pass of the tail
     # aa + bb, one piece at a time; allocated before the result, since in the other
@@ -96,7 +105,7 @@ def reduce_rows(distance, a: np.ndarray, b: np.ndarray, reduce, *, exclude_self:
     ``a``, ``reduce`` gets an empty (0, len(b)) matrix and no distance is computed.
     """
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    norms = (b * b).sum(axis=1)
+    norms = _sq_norms(b)
     parts = []
     for rows in _row_chunks(len(a), len(b)):
         chunk = distance(a[rows], b, norms)
@@ -105,6 +114,38 @@ def reduce_rows(distance, a: np.ndarray, b: np.ndarray, reduce, *, exclude_self:
         parts.append(reduce(chunk))
         del chunk
     return np.concatenate(parts) if parts else reduce(np.empty((0, len(b))))
+
+
+def restrict_nearest(distance, x: np.ndarray, table: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """(len(rows), k) positions in ``rows`` of each row's k nearest other rows of ``x[rows]``.
+
+    ``table`` is ``reduce_rows(distance, x, x, lambda sq: nearest(sq, K), exclude_self=True)``
+    for some K >= k, and ``rows`` is sorted, unique and at least k + 1 long.  The
+    result is then ``nearest`` on the rows of ``x``'s own matrix, with the self
+    cell and every column outside ``rows`` at ``inf``: ties fall to the lower
+    index, whichever rows ``rows`` holds.  A row's k nearest in ``rows`` are the
+    first k entries of its table row that lie in ``rows``, since any other row
+    of ``rows`` comes after all of them.  A row left with fewer than k
+    recomputes its ``NEAREST_BLOCK``-row block of that matrix, bit-identical
+    by the slicing property, and selects on it.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    position = np.full(len(x), -1)
+    position[rows] = np.arange(len(rows))
+    found = position[table[rows]]  # (m, K): -1 where the neighbour is outside rows
+    inside = found >= 0
+    first = np.argsort(~inside, axis=1, kind="stable")[:, :k]  # rows' entries first, in table order
+    out = np.take_along_axis(found, first, axis=1)
+    short = np.flatnonzero(np.count_nonzero(inside, axis=1) < k)
+    if short.size:
+        norms, outside = _sq_norms(x), position < 0
+        for start in np.unique(rows[short] // NEAREST_BLOCK) * NEAREST_BLOCK:
+            here = short[(rows[short] >= start) & (rows[short] < start + NEAREST_BLOCK)]
+            sq = distance(x[start:start + NEAREST_BLOCK], x, norms)[rows[here] - start]
+            sq[:, outside] = np.inf
+            sq[np.arange(here.size), rows[here]] = np.inf
+            out[here] = position[nearest(sq, k)]
+    return out
 
 
 def pairwise(a: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:

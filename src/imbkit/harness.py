@@ -11,13 +11,14 @@ whole run; any other exception is a bug and propagates.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import learners, metrics, overlap, posterior, pruning, region, resample
+from . import distances, learners, metrics, overlap, posterior, pruning, region, resample
 from .config import RunConfig
 from .data_model import Dataset, PipelineWarning, load_csv, minmax_scale, rng_for, stratified_folds
 
@@ -132,13 +133,47 @@ def balance(ds: Dataset, keep: np.ndarray, config: RunConfig,
                                    rng_factory=rng_factory)
 
 
-def overlap_ratio(ds: Dataset, knn_k: int) -> float | None:
-    """``ds``'s dataset-level overlap ratio; None when it has too few rows for ``knn_k`` neighbours."""
-    return metrics.overlap_ratios(ds, knn_k=knn_k).or_dataset if ds.n_samples >= knn_k + 1 else None
+def overlap_ratio(ds: Dataset, knn_k: int, neighbors=None) -> float | None:
+    """``ds``'s dataset-level overlap ratio; None when it has too few rows for ``knn_k`` neighbours.
+
+    ``neighbors``, if given, is called for ``ds``'s (n_samples, knn_k) neighbour
+    table, which the ratios then take instead of computing their own.
+    """
+    if ds.n_samples < knn_k + 1:
+        return None
+    return metrics.overlap_ratios(ds, knn_k=knn_k,
+                                  neighbors=None if neighbors is None else neighbors()).or_dataset
+
+
+def _dataset_neighbors(ds: Dataset, config: RunConfig):
+    """Each row's K nearest other rows of the whole dataset, or the ``ValueError`` that computing them raised.
+
+    Each fold's ``or_before`` reads its training rows' ``or_knn_k`` nearest
+    from this table (``distances.restrict_nearest``), so the matrix is
+    computed once per run, not once per fold.  K grows with ``or_knn_k`` over
+    the training share ``1 - 1/folds``: about 2.5 times as many training rows
+    as ``or_knn_k`` are expected among a row's K, so a row that keeps fewer
+    than ``or_knn_k`` and recomputes its block is rare.  An error is returned,
+    not raised: only the folds that reach ``or_before`` abort with it.
+    """
+    width = min(ds.n_samples - 1, math.ceil(2.5 * config.or_knn_k / (1.0 - 1.0 / config.folds)))  # K
+    try:
+        return distances.reduce_rows(distances.pairwise_sq, ds.features, ds.features,
+                                     lambda sq: distances.nearest(sq, width), exclude_self=True)
+    except ValueError as exc:
+        return exc
+
+
+def _fold_neighbors(ds: Dataset, table, train_idx: np.ndarray, knn_k: int) -> np.ndarray:
+    """The training rows' ``knn_k`` nearest training rows, from the dataset's neighbour table."""
+    if isinstance(table, ValueError):
+        raise ValueError(*table.args)
+    return distances.restrict_nearest(distances.pairwise_sq, ds.features, table, train_idx, knn_k)
 
 
 def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
-              config: RunConfig, repeat: int, fold: int, memo: dict | None) -> FoldResult:
+              config: RunConfig, repeat: int, fold: int, memo: dict | None,
+              table=None) -> FoldResult:
     if len(test_idx) == 0:  # more folds than a class has rows: abort before any stage trains
         raise ValueError(f"repeat {repeat}, fold {fold}: empty test set, nothing to score")
     seed = config.seed
@@ -162,7 +197,8 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     result.timings["clean"] = clock() - t0
 
     t0 = clock()
-    result.or_before = _shared(shared, "or_before", lambda: overlap_ratio(train_ds, config.or_knn_k))
+    neighbors = None if table is None else lambda: _fold_neighbors(ds, table, train_idx, config.or_knn_k)
+    result.or_before = _shared(shared, "or_before", lambda: overlap_ratio(train_ds, config.or_knn_k, neighbors))
     cleaned = train_ds.subset(keep)  # raises if cleaning emptied a class
     result.or_after = _shared(shared, ("or_after", keep.tobytes()),
                               lambda: overlap_ratio(cleaned, config.or_knn_k))
@@ -227,18 +263,24 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
     and ``seed``, so reports with those equal share it.  Deterministic for a
     given config and seed.
 
-    ``_memo`` is internal: ``_sweep`` passes one to share each fold's early stages.
+    Unscaled runs compute each row's nearest rows over the whole dataset once,
+    before the first fold, and each fold's ``or_before`` reads its training
+    rows' from them (``_dataset_neighbors``).
+
+    ``_memo`` is internal: ``_sweep`` passes one to share that table and each fold's early stages.
     """
     dataset = _dataset(config, dataset)
     fold_results: list[FoldResult] = []
     with warnings.catch_warnings(record=True) as wrec:
         warnings.simplefilter("always")
         plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
+        # scaling differs per fold, so scaled folds compute their own neighbours
+        table = None if config.scale else _shared(_memo, "neighbors", lambda: _dataset_neighbors(dataset, config))
         for r in range(plan.repeats):
             for f in range(plan.k):
                 try:
                     result = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
-                                       config, r, f, _memo)
+                                       config, r, f, _memo, table)
                 except ValueError as exc:
                     result = FoldResult(repeat=r, fold=f, status="aborted",
                                         reason=f"{type(exc).__name__}: {exc}")
@@ -271,7 +313,8 @@ def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
 
     A variant may override only ``VARIANT_FIELDS``, which no stage before noise
     removal reads, so each fold's earlier stages run once per sweep: a memo
-    private to the sweep holds them under the fold and the stage alone.
+    private to the sweep holds them under the fold and the stage alone, and
+    the dataset's neighbour table once for the whole sweep.
     Every variant's config is built, and so checked, before any variant runs.
     """
     fixed = sorted(set().union(*variants.values()) - set(VARIANT_FIELDS))

@@ -99,13 +99,14 @@ class OverlapReport:
     or_dataset: float       # mean of the per-class ratios
 
 
-def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
+def overlap_ratios(ds: Dataset, knn_k: int = 5, neighbors: np.ndarray | None = None) -> OverlapReport:
     """Neighborhood-based overlap ratios.
 
     A sample is flagged overlapping when at least ceil(knn_k / 2) of its
     knn_k nearest neighbors (self excluded, ties by index) carry a different
     label.  A class's ratio is the fraction of its samples flagged, and the
-    dataset's ratio is the mean of the class ratios.
+    dataset's ratio is the mean of the class ratios.  ``neighbors``, if given,
+    is that (n_samples, knn_k) table of row indices, and no distance is computed.
     """
     if knn_k < 1:
         raise ValueError("knn_k must be >= 1")
@@ -113,7 +114,8 @@ def overlap_ratios(ds: Dataset, knn_k: int = 5) -> OverlapReport:
     if m < knn_k + 1:
         raise ValueError(f"need at least knn_k+1={knn_k + 1} samples, have {m}")
     n = ds.n_classes
-    nb = reduce_rows(pairwise_sq, ds.features, ds.features, lambda sq: nearest(sq, knn_k), exclude_self=True)
+    nb = neighbors if neighbors is not None else reduce_rows(
+        pairwise_sq, ds.features, ds.features, lambda sq: nearest(sq, knn_k), exclude_self=True)
     foreign = ds.labels[nb] != ds.labels[:, None]
     flagged = foreign.sum(axis=1) >= int(np.ceil(knn_k / 2))
     or_class = np.bincount(ds.labels[flagged], minlength=n) / ds.class_counts()

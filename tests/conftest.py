@@ -40,9 +40,9 @@ def imbalance_ratio(ds):
 def fold_calls(monkeypatch):
     """(config, repeat, fold, train indices, test indices) of each ``harness._run_fold`` call, in order.
 
-    These are the index arrays ``run_cv`` actually hands each fold; the last
-    argument, the memo private to a sweep (None outside one), is passed through
-    untouched.
+    These are the index arrays ``run_cv`` actually hands each fold; the
+    trailing arguments, the memo private to a sweep (None outside one) and the
+    dataset's neighbour table (None for scaled runs), pass through untouched.
     """
     calls = []
     run_fold = harness._run_fold

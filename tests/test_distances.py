@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from imbkit.data_model import load_csv, minmax_scale
 from imbkit.distances import (CHUNK_CELLS, NEAREST_BLOCK, TAIL_CELLS, _row_chunks, min_dist, nearest, pairwise,
-                              pairwise_sq, reduce_rows)
+                              pairwise_sq, reduce_rows, restrict_nearest)
 from imbkit.learners import KNNClassifier, count_votes
 from imbkit.metrics import overlap_ratios
 from imbkit.overlap import gap_profile
@@ -201,6 +202,83 @@ class TestCallersMatchArgsortOracle:
         assert clf.predict(x[query]).tolist() == ref
 
 
+def restrict_oracle(x, rows, k):
+    """Positions in ``rows`` of each row's k nearest other rows: a stable sort of the whole matrix's cells
+    with the self cell and every column outside ``rows`` at ``inf``."""
+    sq = pairwise_sq(x, x)
+    np.fill_diagonal(sq, np.inf)
+    outside = np.ones(len(x), dtype=bool)
+    outside[rows] = False
+    sq[:, outside] = np.inf
+    return np.searchsorted(rows, argsort_oracle(sq[rows], k))
+
+
+class CountingDistance:
+    """``pairwise_sq`` that records the shape of each call."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, a, b, norms=None):
+        self.shapes.append((len(a), len(b)))
+        return pairwise_sq(a, b, norms)
+
+
+def dataset_table(x, big_k):
+    return reduce_rows(pairwise_sq, x, x, lambda sq: nearest(sq, big_k), exclude_self=True)
+
+
+class TestRestrictNearest:
+    """A subset's k nearest, read from the whole dataset's K-nearest table, equal the oracle's."""
+
+    @pytest.mark.parametrize("share", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_random_sorted_subsets(self, oracle_ds, share, k):
+        x = oracle_ds.features
+        table = dataset_table(x, 3 * k)
+        rng = np.random.default_rng(int(100 * share) + k)
+        for _ in range(3):
+            rows = np.flatnonzero(rng.random(len(x)) < share)
+            assert np.array_equal(restrict_nearest(pairwise_sq, x, table, rows, k), restrict_oracle(x, rows, k))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_rows_left_short_recompute_their_block(self, oracle_ds, k):
+        # drop every 8th row's nearest neighbour from the subset: with K = k those
+        # rows keep fewer than k of their K and fall back to their own block
+        x = oracle_ds.features
+        table = dataset_table(x, k)
+        targets = np.arange(0, len(x), 8)
+        dropped = np.setdiff1d(table[targets, 0], targets)
+        rows = np.setdiff1d(np.arange(len(x)), dropped)
+        position = np.full(len(x), -1)
+        position[rows] = np.arange(len(rows))
+        short = np.count_nonzero(position[table[rows]] >= 0, axis=1) < k
+        assert short.any() and not short.all()
+        distance = CountingDistance()
+        got = restrict_nearest(distance, x, table, rows, k)
+        assert np.array_equal(got, restrict_oracle(x, rows, k))
+        blocks = np.unique(rows[short] // NEAREST_BLOCK)
+        assert distance.shapes == [(min(NEAREST_BLOCK, len(x) - b * NEAREST_BLOCK), len(x)) for b in blocks]
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 8])
+    def test_table_of_every_other_row(self, oracle_ds, k):
+        # K >= n - 1: the table holds every other row (and, past n - 1, the self cell last),
+        # so no row falls back
+        x = oracle_ds.features
+        rows = np.flatnonzero(np.random.default_rng(k).random(len(x)) < 0.8)
+        for big_k in (len(x) - 1, len(x) + 3):
+            distance = CountingDistance()
+            got = restrict_nearest(distance, x, dataset_table(x, big_k), rows, k)
+            assert np.array_equal(got, restrict_oracle(x, rows, k))
+            assert distance.shapes == []
+
+    def test_whole_dataset_equals_the_table(self, oracle_ds):
+        x = oracle_ds.features
+        table = dataset_table(x, 15)
+        rows = np.arange(len(x))
+        assert np.array_equal(restrict_nearest(pairwise_sq, x, table, rows, 5), table[:, :5])
+
+
 def identity_oracle(a, b):
     """The unclipped identity ``pairwise_sq`` must match cell for cell: on each
     ``NEAREST_BLOCK``-row block of ``a`` against the whole of ``b``.
@@ -283,6 +361,19 @@ class TestOverflowingNorms:
                 fn(huge, huge)
         with pytest.raises(ValueError, match="squared row norms overflow"):
             pairwise_sq(np.ones((2, 3)), huge)  # the largest term is max(aa) + max(bb)
+
+    def test_only_the_error_speaks(self, huge):
+        # norms that overflow in the row sum, and finite norms whose largest pair overflows in the sum
+        near_limit = np.full((4, 3), 1e308 / 3.0) ** 0.5
+        assert np.isfinite((near_limit * near_limit).sum(axis=1)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (huge, near_limit):
+                for fn in (pairwise_sq, min_dist):
+                    with pytest.raises(ValueError, match="squared row norms overflow"):
+                        fn(a, a)
+                with pytest.raises(ValueError, match="squared row norms overflow"):
+                    reduce_rows(pairwise_sq, a, a, lambda sq: nearest(sq, 1), exclude_self=True)
 
     def test_largest_finite_scale_does_not_raise(self, huge):
         x = huge / 10.0

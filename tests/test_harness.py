@@ -127,6 +127,7 @@ class TestRunCv:
         assert rep.partial
         assert all(fr.status == "aborted" and fr.reason.startswith("ValueError: squared row norms overflow")
                    for fr in rep.folds)
+        assert not [w for w in rep.warnings if "overflow encountered" in w]  # the reasons alone speak
 
     def test_nan_posteriors_abort_fold_at_partition(self):
         # a feature at 1e160 overflows its variance, so every posterior is NaN:
@@ -342,6 +343,86 @@ class TestSweepSharing:
             assert [(fr.status, fr.reason) for fr in rep.folds] == \
                 [("aborted", f"ValueError: {name} failed")] * N_FOLDS, key
             assert rep.warnings.count(f"PipelineWarning: before {name} fails") == N_FOLDS, key
+
+
+class TestDatasetNeighbourPass:
+    """Unscaled runs compute one K-nearest table over the whole dataset; each fold's ``or_before`` reads it.
+
+    balance's integer features make every distance cell exact, so a cell does
+    not depend on which rows share its block, and ``or_before`` read from the
+    dataset's table must equal the ratio computed on the training fold alone.
+    """
+
+    CFG = dict(repeats=1, jaya_pop=4, jaya_iters=2)
+
+    @pytest.fixture(scope="class")
+    def balance_ds(self, data_dir):
+        return load_csv(data_dir / "balance.csv", "class")
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        compute = harness._dataset_neighbors
+        monkeypatch.setattr(harness, "_dataset_neighbors",
+                            lambda ds, config: calls.append(ds) or compute(ds, config))
+        return calls
+
+    @pytest.mark.parametrize("folds", [2, 5])
+    def test_or_before_equals_the_training_fold_alone(self, balance_ds, passes, folds):
+        cfg = RunConfig(folds=folds, **self.CFG)
+        rep = run_cv(cfg, dataset=balance_ds)
+        plan = stratified_folds(balance_ds, folds, 1, cfg.seed)
+        assert len(passes) == 1 and not rep.partial
+        for fr in rep.folds:
+            train = balance_ds.subset(plan.train_indices(fr.repeat, fr.fold))
+            assert fr.or_before == harness.overlap_ratio(train, cfg.or_knn_k), fr.fold
+
+    def test_one_pass_per_run_and_per_sweep(self, balance_ds, passes, fold_calls):
+        cfg = RunConfig(folds=3, **self.CFG)
+        run_cv(cfg, dataset=balance_ds)
+        assert len(passes) == 1
+        ablate_noise(cfg, fractions=(0.0, 0.5, 1.0), dataset=balance_ds)
+        assert len(passes) == 2
+        ablate_components(cfg, dataset=balance_ds)
+        assert len(passes) == 3
+        assert len(fold_calls) == 3 * (1 + 3 + 3)
+
+    def test_scaled_runs_compute_no_pass(self, balance_ds, passes):
+        run_cv(RunConfig(folds=3, scale=True, **self.CFG), dataset=balance_ds)
+        ablate_components(RunConfig(folds=3, scale=True, **self.CFG), dataset=balance_ds)
+        assert passes == []
+
+    @staticmethod
+    def failing_pass(monkeypatch, n_rows):
+        """Make every distance call against all ``n_rows`` rows (only the pass makes one) raise."""
+        compute = harness.distances.pairwise_sq
+
+        def pairwise_sq(a, b, norms=None):
+            if len(b) == n_rows:
+                raise ValueError("the dataset pass failed")
+            return compute(a, b, norms)
+
+        monkeypatch.setattr(harness.distances, "pairwise_sq", pairwise_sq)
+
+    def test_pass_error_aborts_the_folds_that_reach_or_before(self, tmp_path, monkeypatch, balance_ds):
+        self.failing_pass(monkeypatch, balance_ds.n_samples)
+        rep = run_cv(RunConfig(folds=3, **self.CFG), dataset=balance_ds)
+        assert [(fr.status, fr.reason) for fr in rep.folds] == \
+            [("aborted", "ValueError: the dataset pass failed")] * 3
+        emit_report(rep, tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["partial"] is True and len(doc["folds"]) == 3
+        # or_knn_k above the training folds' size: no fold reaches the table, so none aborts
+        rep = run_cv(RunConfig(folds=3, or_knn_k=500, **self.CFG), dataset=balance_ds)
+        assert not rep.partial
+        assert all(fr.or_before is None for fr in rep.folds)
+
+    def test_pass_error_aborts_every_variant_of_a_sweep(self, monkeypatch, balance_ds, passes):
+        self.failing_pass(monkeypatch, balance_ds.n_samples)
+        reports = ablate_components(RunConfig(folds=3, **self.CFG), dataset=balance_ds)
+        assert len(passes) == 1  # the error is stored like a table
+        for key, rep in reports.items():
+            assert [fr.reason for fr in rep.folds] == ["ValueError: the dataset pass failed"] * 3, key
 
 
 class TestEmitReport:
