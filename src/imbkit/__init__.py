@@ -8,7 +8,7 @@ from .learners import ClassifierPool, train_pool
 from .metrics import classification_metrics, confusion_matrix, macro_ovr_auc, overlap_ratios
 from .overlap import GapProfile, gap_profile, select_non_overlapping, sor_all
 from .posterior import NBModel, PosteriorMatrix, fit_nb, posteriors
-from .pruning import PrunedEnsemble, digitize, jaya_update, prune
+from .pruning import Fitness, PrunedEnsemble, digitize, fitness, jaya_update, prune
 from .region import RegionAssignment, class_thresholds, noise_subset, partition
 from .resample import SyntheticBatch, balance_plan, omrp
 
@@ -22,7 +22,7 @@ __all__ = [
     "classification_metrics", "confusion_matrix", "macro_ovr_auc", "overlap_ratios",
     "GapProfile", "gap_profile", "select_non_overlapping", "sor_all",
     "NBModel", "PosteriorMatrix", "fit_nb", "posteriors",
-    "PrunedEnsemble", "digitize", "jaya_update", "prune",
+    "Fitness", "PrunedEnsemble", "digitize", "fitness", "jaya_update", "prune",
     "RegionAssignment", "class_thresholds", "noise_subset", "partition",
     "SyntheticBatch", "balance_plan", "omrp",
 ]

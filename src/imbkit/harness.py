@@ -1,8 +1,9 @@
 """Data-level stage chain, cross-validation harness, ablations and report emission.
 
 Every fold fits the probabilistic model, partitions and cleans the training
-data, balances it, trains and prunes the pool, then scores the untouched test
-fold.  Nothing computed from a test fold ever feeds a training-side stage.
+data, balances it, trains the pool and predicts its fitness rows; one Jaya search
+then prunes every fold's pool at once, and each fold scores its untouched
+test fold.  Nothing computed from a test fold ever feeds a training-side stage.
 A fold whose data is degenerate for a stage (the stage raises ``ValueError``)
 is recorded as aborted and the report marked partial instead of killing the
 whole run; any other exception is a bug and propagates.
@@ -14,6 +15,7 @@ import json
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -171,9 +173,25 @@ def _fold_neighbors(ds: Dataset, table, train_idx: np.ndarray, knn_k: int) -> np
     return distances.restrict_nearest(distances.pairwise_sq, ds.features, table, train_idx, knn_k)
 
 
+@dataclass
+class _Scored:
+    """A fold between its search and its scoring: all that its test scores still need."""
+    result: FoldResult
+    mask: np.ndarray            # every member, until the fold's search sets it
+    fitness: pruning.Fitness | None   # None: no search
+    test_preds: np.ndarray      # the members' predictions on the test rows
+    test_y: np.ndarray
+
+
 def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
               config: RunConfig, repeat: int, fold: int, memo: dict | None,
-              table=None) -> FoldResult:
+              table=None) -> _Scored:
+    """Every stage of one fold up to the Jaya search, and the test rows' member predictions.
+
+    With pruning on, the pool's predictions on the fitness rows are kept here
+    (``pruning.fitness``) and the search itself runs later, for every fold at
+    once (``run_cv``); the pool is then dropped.
+    """
     if len(test_idx) == 0:  # more folds than a class has rows: abort before any stage trains
         raise ValueError(f"repeat {repeat}, fold {fold}: empty test set, nothing to score")
     seed = config.seed
@@ -189,7 +207,6 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
 
     t0 = clock()
     train_ds, test_x, assignment = _shared(shared, "partition", split_and_partition)
-    test_y = ds.labels[test_idx]
     result.timings["partition"] = clock() - t0
 
     t0 = clock()
@@ -221,24 +238,65 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
             fit_rows = pool_rows  # every row: no class could spare one
     pool = learners.train_pool(data_x[pool_rows], data_y[pool_rows], ds.n_classes,
                                pool_spec=config.pool, seed=pool_seed)
-    mask = np.ones(pool.size, dtype=np.int64)
+    fitness = None
     if config.use_pruning:
-        mask = pruning.prune(pool, data_x[fit_rows], data_y[fit_rows], n_pop=config.jaya_pop,
-                             t_max=config.jaya_iters, rng=rng_for(seed, "jaya", repeat, fold)).mask
+        fitness = pruning.fitness(pool, data_x[fit_rows], data_y[fit_rows])
     result.timings["ensemble"] = clock() - t0
 
     t0 = clock()
-    preds_matrix = learners.member_predictions(pool, test_x)
-    preds = learners.vote_from_predictions(preds_matrix, mask.astype(bool), ds.n_classes)
-    result.metrics = metrics.classification_metrics(preds, test_y, ds.n_classes)
+    # kept until every fold's search is done, in the narrowest type that holds a label
+    test_preds = learners.member_predictions(pool, test_x).astype(np.min_scalar_type(ds.n_classes - 1))
+    result.timings["predict"] = clock() - t0
+    return _Scored(result, np.ones(pool.size, dtype=np.int64), fitness, test_preds, ds.labels[test_idx])
+
+
+def _prune_folds(scored: list, config: RunConfig) -> None:
+    """Every pruned fold's Jaya search in one batched call; each fold's ``ensemble`` timer gets 1/F of it."""
+    searched = [s for s in scored if s.fitness is not None]
+    if not searched:
+        return
+    t0 = time.perf_counter()
+    found = pruning.prune([s.fitness for s in searched], n_pop=config.jaya_pop, t_max=config.jaya_iters,
+                          rngs=[rng_for(config.seed, "jaya", s.result.repeat, s.result.fold)
+                                for s in searched])
+    share = (time.perf_counter() - t0) / len(searched)
+    for s, pruned in zip(searched, found):
+        s.mask = pruned.mask
+        s.result.timings["ensemble"] += share
+
+
+def _score_fold(s: _Scored, n_classes: int) -> FoldResult:
+    """The fold's test metrics and AUC from its mask's vote; timed under ``predict``."""
+    t0 = time.perf_counter()
+    result, selected = s.result, s.mask.astype(bool)
+    preds = learners.vote_from_predictions(s.test_preds, selected, n_classes)
+    result.metrics = metrics.classification_metrics(preds, s.test_y, n_classes)
     try:
-        scores = learners.vote_shares(preds_matrix, mask.astype(bool), ds.n_classes)
-        result.metrics["auc"] = metrics.macro_ovr_auc(scores, test_y)
+        scores = learners.vote_shares(s.test_preds, selected, n_classes)
+        result.metrics["auc"] = metrics.macro_ovr_auc(scores, s.test_y)
     except ValueError:
         pass  # degenerate single-class test fold: AUC undefined, omitted
-    result.mask = [int(v) for v in mask]
-    result.timings["predict"] = clock() - t0
+    result.mask = [int(v) for v in s.mask]
+    result.timings["predict"] += time.perf_counter() - t0
     return result
+
+
+@contextmanager
+def _capture():
+    """Record every warning raised inside; yields the list of them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+
+
+def _messages(caught) -> list:
+    return [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+def _largest_training_fold(plan) -> int:
+    """Rows in the plan's largest training fold: all rows but the smallest test fold's."""
+    return plan.fold_ids.shape[1] - min(int(np.bincount(ids, minlength=plan.k).min())
+                                        for ids in plan.fold_ids)
 
 
 def _mean_std(values: dict) -> dict:
@@ -265,27 +323,46 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
 
     Unscaled runs compute each row's nearest rows over the whole dataset once,
     before the first fold, and each fold's ``or_before`` reads its training
-    rows' from them (``_dataset_neighbors``).
+    rows' from them (``_dataset_neighbors``); a plan whose training folds all
+    have at most ``or_knn_k`` rows has no ``or_before`` and skips that pass.
+
+    Each fold runs up to its Jaya search (``_run_fold``), then one batched
+    ``pruning.prune`` call searches for every pruned fold, and each fold is
+    scored on its test rows.  Warnings are captured per fold and phase, and
+    the report lists the run's own (fold plan first) and then each fold's, in
+    fold order.
 
     ``_memo`` is internal: ``_sweep`` passes one to share that table and each fold's early stages.
     """
     dataset = _dataset(config, dataset)
-    fold_results: list[FoldResult] = []
-    with warnings.catch_warnings(record=True) as wrec:
-        warnings.simplefilter("always")
+    folds = []  # (_Scored, or the aborted FoldResult, and the fold's warnings)
+    with _capture() as run_warnings:
         plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
-        # scaling differs per fold, so scaled folds compute their own neighbours
-        table = None if config.scale else _shared(_memo, "neighbors", lambda: _dataset_neighbors(dataset, config))
+        # scaled folds compute their own neighbours (scaling differs per fold), and when
+        # no training fold has more than or_knn_k rows no fold has an or_before to read
+        table = None
+        if not config.scale and _largest_training_fold(plan) > config.or_knn_k:
+            table = _shared(_memo, "neighbors", lambda: _dataset_neighbors(dataset, config))
         for r in range(plan.repeats):
             for f in range(plan.k):
-                try:
-                    result = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
-                                       config, r, f, _memo, table)
-                except ValueError as exc:
-                    result = FoldResult(repeat=r, fold=f, status="aborted",
-                                        reason=f"{type(exc).__name__}: {exc}")
-                fold_results.append(result)
-    caught = [f"{w.category.__name__}: {w.message}" for w in wrec]
+                with _capture() as caught:
+                    try:
+                        fold = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
+                                         config, r, f, _memo, table)
+                    except ValueError as exc:
+                        fold = FoldResult(repeat=r, fold=f, status="aborted",
+                                          reason=f"{type(exc).__name__}: {exc}")
+                folds.append((fold, _messages(caught)))
+        _prune_folds([fold for fold, _ in folds if isinstance(fold, _Scored)], config)
+        fold_results, fold_warnings = [], []
+        for fold, messages in folds:
+            if isinstance(fold, _Scored):
+                with _capture() as caught:
+                    fold = _score_fold(fold, dataset.n_classes)
+                messages += _messages(caught)
+            fold_results.append(fold)
+            fold_warnings += messages
+    caught = _messages(run_warnings) + fold_warnings
 
     ok = [fr for fr in fold_results if fr.status == "ok"]
     aggregate = _mean_std({key: [fr.metrics[key] for fr in ok if key in fr.metrics]

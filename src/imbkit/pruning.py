@@ -7,20 +7,26 @@ every genome moves toward the best and away from the worst member, is clipped
 back into the unit box, and survives only if its macro F-score on the fitness
 data strictly improves, so the best fitness never decreases.
 
-The whole population moves at once.  Best and worst are fixed at the start of
-a generation and a genome's acceptance touches only its own row, so updating
-row by row and updating the array are the same search; one ``rng.random`` call
-of n_pop * 2 * m draws, read as (n_pop, 2, m), hands each genome the same r1
-then r2 values that per-genome calls would.
+A search runs in two parts.  ``fitness`` runs while the pool exists: it keeps
+the members' predictions on the fitness rows and those rows' labels, so the
+pool can be dropped.  ``prune`` then runs many searches at once, one per
+``Fitness``.  Searches with pools of one size move as one (searches, n_pop, m)
+array, so each generation's numpy calls serve all of them.  Best and worst are
+fixed at the start of a generation and a genome's acceptance touches only its
+own row, so updating row by row and updating the array are the same search.
+Each search draws from its own stream exactly as a search of its own would:
+the initial population as ``rng.random((n_pop, m))``, then per generation one
+``rng.random(2 * n_pop * m)``, read as (n_pop, 2, m), which hands each genome
+the same r1 then r2 values that per-genome calls would.
 
-A genome's fitness depends only on its digitized mask (the member predictions
-and fitness labels are fixed for the whole search), and scoring draws nothing
-from the stream, so each ``prune`` memoizes fitness by mask.  The memo key is
-one exact integer per genome, sum(2^slot) over the selected slots, computed
-for the whole population in one product with Python-integer weights, so it
-is exact at any pool size.  Each of the at most 2^m - 1 masks is scored once,
-and the draws, the winner and the history are exactly those of scoring every
-candidate afresh.
+A genome's fitness depends only on its digitized mask, keyed by one exact
+integer, sum(2^slot) over the selected slots, and each search scores a mask
+the first time it meets it.  When the lattice of 2^m - 1 masks is no larger
+than the n_pop * (t_max + 1) genomes a search meets, the scores go into a
+table indexed by the key, so a generation reads them in one gather; a wider
+pool's go into a memo keyed by Python integers, exact at any pool size.
+Scoring draws nothing, so the draws, the winner and the history are exactly
+those of scoring every candidate afresh.
 """
 
 from __future__ import annotations
@@ -40,6 +46,22 @@ class PrunedEnsemble:
     history: tuple  # best fitness after each generation; the last is the mask's fitness
 
 
+@dataclass(frozen=True)
+class Fitness:
+    """What a search scores one pool's masks on: each mask's voted macro F-score over the fitness rows."""
+
+    preds: np.ndarray   # (pool size, fitness rows): the members' predictions
+    truth: np.ndarray   # the fitness rows' labels
+    n_classes: int
+
+    @property
+    def size(self) -> int:
+        return self.preds.shape[0]
+
+    def score(self, mask: np.ndarray) -> float:
+        return _mask_fitness(self.preds, mask, self.truth, self.n_classes)
+
+
 def digitize(values: np.ndarray) -> np.ndarray:
     """Binary mask per (..., m) row: 1 where the slot exceeds 0.5.
 
@@ -55,15 +77,15 @@ def digitize(values: np.ndarray) -> np.ndarray:
 
 
 def jaya_update(values: np.ndarray, best: np.ndarray, worst: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
+                draws: np.ndarray) -> np.ndarray:
     """Move each (..., m) genome toward the best and away from the worst, clipped to [0, 1].
 
-    Fresh r1, r2 in [0, 1) are drawn per position, genome by genome: r1 for
-    all m slots, then r2.  The step is (v + r1 |best - v|) - r2 |worst - v|,
-    rounded in that order.
+    ``draws`` holds 2 * values.size numbers in [0, 1), genome by genome: r1
+    for all m slots, then r2 (any shape; read in C order as (..., 2, m)).
+    The step is (v + r1 |best - v|) - r2 |worst - v|, rounded in that order.
     """
     v = np.asarray(values, dtype=np.float64)
-    r = rng.random(2 * v.size).reshape(v.shape[:-1] + (2, v.shape[-1]))
+    r = np.asarray(draws, dtype=np.float64).reshape(v.shape[:-1] + (2, v.shape[-1]))
     out = np.subtract(best, v)
     np.abs(out, out=out)
     out *= r[..., 0, :]
@@ -81,42 +103,85 @@ def _mask_fitness(preds: np.ndarray, mask: np.ndarray, truth: np.ndarray, n_clas
     return classification_metrics(voted, truth, n_classes)["f1"]
 
 
-def prune(pool: ClassifierPool, fit_features, fit_labels, n_pop: int = 20, t_max: int = 50, *,
-          rng: np.random.Generator) -> PrunedEnsemble:
-    """Select the classifier subset with the best voted macro F-score on the fitness data."""
-    if n_pop < 2:
-        raise ValueError("population size must be >= 2")
-    if t_max < 1:
-        raise ValueError("iteration count must be >= 1")
+def fitness(pool: ClassifierPool, fit_features, fit_labels) -> Fitness:
+    """The data a search of ``pool``'s masks reads, so the pool can be dropped before it."""
     fit_x = np.asarray(fit_features, dtype=np.float64)
     fit_y = np.asarray(fit_labels, dtype=np.int64)
     if fit_x.shape[0] == 0:
         raise ValueError("fitness data must be non-empty")
+    # labels lie in [0, n_classes), so the kept predictions take the narrowest type that holds them
+    preds = member_predictions(pool, fit_x).astype(np.min_scalar_type(pool.n_classes - 1))
+    return Fitness(preds, fit_y, pool.n_classes)
 
-    preds = member_predictions(pool, fit_x)
-    bits = np.array([1 << slot for slot in range(pool.size)], dtype=object)  # exact at any width
-    memo = {}
 
-    def fitness(values: np.ndarray) -> np.ndarray:
-        masks = digitize(values)
-        keys = (masks @ bits).tolist()
-        for key in set(keys).difference(memo):
-            memo[key] = _mask_fitness(preds, masks[keys.index(key)], fit_y, pool.n_classes)
-        return np.fromiter(map(memo.__getitem__, keys), dtype=np.float64, count=len(keys))
+def prune(fitnesses, n_pop: int = 20, t_max: int = 50, *, rngs) -> list:
+    """One ``PrunedEnsemble`` per ``Fitness``: the subset with the best voted macro F-score.
+
+    Search ``i`` reads ``fitnesses[i]`` and draws from ``rngs[i]``; searches
+    whose pools have one size move as one array.
+    """
+    if n_pop < 2:
+        raise ValueError("population size must be >= 2")
+    if t_max < 1:
+        raise ValueError("iteration count must be >= 1")
+    fitnesses, rngs = list(fitnesses), list(rngs)
+    if len(rngs) != len(fitnesses):
+        raise ValueError(f"{len(fitnesses)} fitnesses but {len(rngs)} random streams")
+    groups = {}
+    for i, fit in enumerate(fitnesses):
+        groups.setdefault(fit.size, []).append(i)
+    out = [None] * len(fitnesses)
+    for members in groups.values():
+        found = _search([fitnesses[i] for i in members], [rngs[i] for i in members], n_pop, t_max)
+        for i, result in zip(members, found):
+            out[i] = result
+    return out
+
+
+def _search(fits_of: list, rngs: list, n_pop: int, t_max: int) -> list:
+    """Jaya over a (searches, n_pop, m) population of pools of one size m."""
+    m = fits_of[0].size
+    rows = np.arange(len(fits_of))[:, None]
+    if 2 ** m - 1 <= n_pop * (t_max + 1):  # the lattice is no larger than the genomes a search meets
+        tables, bits = np.full((len(fits_of), 1 << m), np.nan), 1 << np.arange(m)
+
+        def score(values):
+            masks = digitize(values)
+            keys = masks @ bits
+            for i, g in zip(*np.nonzero(np.isnan(tables[rows, keys]))):
+                if np.isnan(tables[i, keys[i, g]]):  # a mask met twice in one generation is scored once
+                    tables[i, keys[i, g]] = fits_of[i].score(masks[i, g])
+            return tables[rows, keys]
+    else:
+        bits = np.array([1 << slot for slot in range(m)], dtype=object)  # exact at any width
+        memos = [{} for _ in fits_of]
+
+        def score(values):
+            masks = digitize(values)
+            keys = (masks @ bits).tolist()
+            for fit, memo, mk, ks in zip(fits_of, memos, masks, keys):
+                for key in set(ks).difference(memo):
+                    memo[key] = fit.score(mk[ks.index(key)])
+            return np.array([[memo[key] for key in ks] for memo, ks in zip(memos, keys)])
+
+    def leader(pop, at):  # (searches, 1, m): each search's genome at index ``at``
+        return np.take_along_axis(pop, at[:, None, None], axis=1)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fitness data may legitimately miss a class
-        pop = rng.random((n_pop, pool.size))
-        fits = fitness(pop)
-        history = []
-        for _ in range(t_max):
-            best, worst = pop[fits.argmax()], pop[fits.argmin()]
-            cand = jaya_update(pop, best, worst, rng)
-            cand_fits = fitness(cand)
+        pop = np.stack([rng.random((n_pop, m)) for rng in rngs])
+        fits = score(pop)
+        history = np.empty((t_max, len(fits_of)))
+        for t in range(t_max):
+            best, worst = leader(pop, fits.argmax(axis=1)), leader(pop, fits.argmin(axis=1))
+            draws = np.concatenate([rng.random(2 * n_pop * m) for rng in rngs])
+            cand = jaya_update(pop, best, worst, draws)
+            cand_fits = score(cand)
             improved = cand_fits > fits  # greedy acceptance
-            np.copyto(pop, cand, where=improved[:, None])
+            np.copyto(pop, cand, where=improved[..., None])
             np.copyto(fits, cand_fits, where=improved)
-            history.append(float(fits.max()))
+            history[t] = fits.max(axis=1)
 
-    mask = digitize(pop[np.argmax(fits)])
-    return PrunedEnsemble(mask=mask, history=tuple(history))
+    masks = digitize(leader(pop, fits.argmax(axis=1))[:, 0])
+    return [PrunedEnsemble(mask=mask, history=tuple(hist))
+            for mask, hist in zip(masks, history.T.tolist())]

@@ -22,11 +22,12 @@ from imbkit.data_model import load_csv, rng_for, stratified_folds
 from imbkit.distances import min_dist
 from imbkit.harness import (ablate_components, ablate_noise, clean, emit_report, partition_regions,
                             run_cv)
-from imbkit import learners, metrics, overlap, posterior, pruning, region, resample
+from imbkit import learners, metrics, overlap, posterior, region, resample
 from tests.conftest import imbalance_ratio, make_blobs
 from tests.test_posterior import direct_posterior_oracle
 from tests.test_overlap import WORKED_DISTANCES, population_stats_oracle, worked_fixture
-from tests.test_pruning import FixedPredictor, OraclePredictor, build_pool, exhaustive_optimum
+from tests.test_pruning import (FixedPredictor, OraclePredictor, build_pool, exhaustive_optimum,
+                                prune_one)
 
 
 def line(num, name, ok, detail=""):
@@ -169,8 +170,7 @@ def test_06_jaya_desk_scale_optimality():
     hits = 0
     monotone = True
     for seed in range(20):
-        result = pruning.prune(pool, fit_x, fit_y, n_pop=20, t_max=50,
-                               rng=np.random.default_rng(seed))
+        result = prune_one(pool, fit_x, fit_y, n_pop=20, t_max=50, rng=np.random.default_rng(seed))
         hits += result.history[-1] >= target - 0.02
         monotone &= bool(np.all(np.diff(np.array(result.history)) >= 0))
     elapsed = time.perf_counter() - t0

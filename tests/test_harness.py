@@ -2,11 +2,12 @@ import itertools
 import json
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from imbkit import harness, metrics, overlap
+from imbkit import harness, learners, metrics, overlap, pruning
 from imbkit.config import RunConfig, config_from_dict, load_config_file, merge_config
 from imbkit.data_model import Dataset, PipelineWarning, load_csv, stratified_folds
 from imbkit.harness import (ExperimentReport, FoldResult, ablate_components, ablate_noise, clean,
@@ -174,6 +175,54 @@ class TestRunCv:
             {"kind": "knn", "params": {"k": 1}},
             {"kind": "tree", "params": {"max_depth": 2}},
         ]
+
+
+class TestOneSearchPerRun:
+    """Folds stop before their Jaya search; one ``pruning.prune`` call then searches for all of them."""
+
+    def test_one_prune_call_per_run_cv(self, monkeypatch, overlapping_imbalanced_ds):
+        calls = patch_stage(monkeypatch, pruning, "prune")
+        rep = run_cv(RunConfig(seed=1, **FAST), dataset=overlapping_imbalanced_ds)
+        assert len(calls) == 1 and len(calls[0][0]) == N_FOLDS
+        for fr in rep.folds:
+            assert list(fr.timings) == ["partition", "clean", "overlap_ratio", "balance", "ensemble",
+                                        "predict"]
+        ablate_components(RunConfig(seed=1, **FAST), dataset=overlapping_imbalanced_ds)
+        assert len(calls) == 1 + 2  # no_pruning searches nothing
+
+    def test_aborted_folds_are_not_searched(self, monkeypatch):
+        feats = np.vstack([np.random.default_rng(0).normal(0, 1, (30, 2)),
+                           np.random.default_rng(1).normal(8, 1, (30, 2)), [[4.0, 4.0]]])
+        ds = Dataset(feats, np.array([0] * 30 + [1] * 30 + [2]), ("a", "b", "single"))
+        calls = patch_stage(monkeypatch, pruning, "prune")
+        rep = run_cv(RunConfig(seed=0, **FAST), dataset=ds)
+        assert rep.partial
+        assert [len(args[0]) for args in calls] == [sum(fr.status == "ok" for fr in rep.folds)]
+
+
+class TestWarningOrder:
+    """Warnings are captured per fold and phase and listed in fold order."""
+
+    def test_scoring_warning_listed_before_a_later_folds_first_phase(self, monkeypatch):
+        # class c2 has 3 rows in 5 folds: folds 0 and 4 test no c2 row, so they warn
+        # only when scored, after every fold's search; each fold also warns on entry
+        ds = make_blobs([(0.0, 0.0), (3.0, 3.0), (1.5, 1.5)], [40, 40, 3], seed=0)
+        cfg = RunConfig(seed=0, folds=5, repeats=1, jaya_pop=6, jaya_iters=5)
+        run_fold = harness._run_fold
+
+        def entering(ds, train_idx, test_idx, config, repeat, fold, *rest):
+            warnings.warn(f"entering fold {fold}", PipelineWarning)
+            return run_fold(ds, train_idx, test_idx, config, repeat, fold, *rest)
+
+        monkeypatch.setattr(harness, "_run_fold", entering)
+        rep = run_cv(cfg, dataset=ds)
+        absent = "PipelineWarning: classes absent from truth excluded from macro averages: [2]"
+        assert "(< 5 folds)" in rep.warnings[0]  # the fold plan's warning comes first
+        assert [w for w in rep.warnings if w == absent or "entering" in w] == [
+            "PipelineWarning: entering fold 0", absent, "PipelineWarning: entering fold 1",
+            "PipelineWarning: entering fold 2", "PipelineWarning: entering fold 3",
+            "PipelineWarning: entering fold 4", absent]
+        assert ablate_components(cfg, dataset=ds)["full"].warnings == rep.warnings
 
 
 class TestDeterminism:
@@ -417,12 +466,112 @@ class TestDatasetNeighbourPass:
         assert not rep.partial
         assert all(fr.or_before is None for fr in rep.folds)
 
+    def test_no_pass_when_no_training_fold_exceeds_or_knn_k(self, tmp_path, monkeypatch, balance_ds, passes):
+        # 2 folds of 625 rows: the largest training fold has 313 rows
+        plan = stratified_folds(balance_ds, 2, 1, 0)
+        largest = max(len(plan.train_indices(0, f)) for f in range(2))
+        assert harness._largest_training_fold(plan) == largest == 313
+        cfg = RunConfig(folds=2, or_knn_k=largest, **self.CFG)
+        skipped = report_bytes(run_cv(cfg, dataset=balance_ds), tmp_path / "skipped.json")
+        assert passes == []
+        assert b'"or_before": null' in skipped and b'"or_before": 0' not in skipped
+        # the same run with the pass computed, as it was before the pass was skipped, gives the same bytes
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_largest_training_fold", lambda plan: balance_ds.n_samples)
+            assert report_bytes(run_cv(cfg, dataset=balance_ds), tmp_path / "computed.json") == skipped
+        assert len(passes) == 1
+        # one neighbour fewer: the largest fold reaches or_before, so the pass runs
+        rep = run_cv(replace(cfg, or_knn_k=largest - 1), dataset=balance_ds)
+        assert len(passes) == 2
+        assert any(fr.or_before is not None for fr in rep.folds)
+
     def test_pass_error_aborts_every_variant_of_a_sweep(self, monkeypatch, balance_ds, passes):
         self.failing_pass(monkeypatch, balance_ds.n_samples)
         reports = ablate_components(RunConfig(folds=3, **self.CFG), dataset=balance_ds)
         assert len(passes) == 1  # the error is stored like a table
         for key, rep in reports.items():
             assert [fr.reason for fr in rep.folds] == ["ValueError: the dataset pass failed"] * 3, key
+
+
+class TestTestFoldInvariance:
+    """Nothing computed from a test fold reaches a training-side output.
+
+    For each fold of a 5x1 plan, the fold's test rows get features redrawn
+    uniformly within each column's range and their labels permuted; the plan
+    itself is kept, since it is drawn from the labels.  The fold's mask, Jaya
+    history, ``or_before``, ``or_after`` and the rows ``train_pool`` receives
+    must not change, in ``run_cv`` and in every variant of a sweep.  Test
+    rows' member predictions run before the search, so this also checks that
+    they never reach it.
+
+    One known exception: the dataset neighbour pass of an unscaled run reads
+    every row, test rows included, so a test row whose squared norm
+    overflows makes it raise, and folds that would abort when scored abort
+    at ``or_before`` instead.  The redraws here stay finite and in range.
+    """
+
+    CFG = dict(folds=5, repeats=1, jaya_pop=4, jaya_iters=3)
+
+    @staticmethod
+    def recorder(monkeypatch):
+        """Per ``run_cv`` call, in order: the report, each search's history and each pool's training rows."""
+        runs = []
+        run_cv_fn, prune_fn, train_pool_fn = harness.run_cv, pruning.prune, learners.train_pool
+
+        def recording_run_cv(*args, **kwargs):
+            runs.append({"histories": [], "pools": []})
+            runs[-1]["report"] = run_cv_fn(*args, **kwargs)
+            return runs[-1]["report"]
+
+        def recording_prune(*args, **kwargs):
+            found = prune_fn(*args, **kwargs)
+            runs[-1]["histories"] += [p.history for p in found]
+            return found
+
+        def recording_train_pool(features, labels, *args, **kwargs):
+            runs[-1]["pools"].append((features.tobytes(), labels.tobytes()))
+            return train_pool_fn(features, labels, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cv", recording_run_cv)
+        monkeypatch.setattr(pruning, "prune", recording_prune)
+        monkeypatch.setattr(learners, "train_pool", recording_train_pool)
+        return runs
+
+    def fold_outputs(self, runs, ds, config):
+        """[run_cv's, then each sweep variant's] per-fold (mask, history, or_before, or_after, pool rows)."""
+        runs.clear()
+        harness.run_cv(config, dataset=ds)
+        ablate_components(config, dataset=ds)
+        out = []
+        for run in runs:
+            folds = run["report"].folds
+            assert [fr.status for fr in folds] == ["ok"] * len(folds)
+            histories = run["histories"] or [None] * len(folds)  # no_pruning searches nothing
+            assert len(histories) == len(run["pools"]) == len(folds)
+            out.append([(fr.mask, history, fr.or_before, fr.or_after, pool)
+                        for fr, history, pool in zip(folds, histories, run["pools"])])
+        return out
+
+    @pytest.mark.parametrize("scale", [False, True])
+    @pytest.mark.parametrize("name", ["balance", "vehicle", "winequality-red"])
+    def test_redrawn_test_rows_change_no_training_output(self, monkeypatch, data_dir, name, scale):
+        ds = load_csv(data_dir / f"{name}.csv", "class")
+        config = RunConfig(scale=scale, **self.CFG)
+        plan = stratified_folds(ds, config.folds, config.repeats, config.seed)
+        monkeypatch.setattr(harness, "stratified_folds", lambda *args: plan)
+        runs = self.recorder(monkeypatch)
+        want = self.fold_outputs(runs, ds, config)
+        assert len(want) == 4  # run_cv, then no_balancing, no_pruning and full
+        lo, hi = ds.features.min(axis=0), ds.features.max(axis=0)
+        for fold in range(config.folds):
+            test = plan.test_indices(0, fold)
+            rng = np.random.default_rng(fold)
+            features, labels = ds.features.copy(), ds.labels.copy()
+            features[test] = rng.uniform(lo, hi, size=(test.size, ds.n_features))
+            labels[test] = rng.permutation(labels[test])
+            got = self.fold_outputs(runs, Dataset(features, labels, ds.class_names), config)
+            for variant, (w, g) in enumerate(zip(want, got)):
+                assert g[fold] == w[fold], (fold, variant)
 
 
 class TestEmitReport:

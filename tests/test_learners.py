@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from imbkit.learners import (DEFAULT_POOL_SPEC, ExtraTreeClassifier, GaussianNBClassifier,
                              GiniTreeClassifier, KNNClassifier, count_votes, member_predictions,
                              train_pool, vote_from_predictions, vote_shares)
-from imbkit.pruning import prune
+from imbkit.pruning import fitness
 from tests.conftest import make_blobs
 
 
@@ -203,7 +203,7 @@ class TestMajorityVote:
         with pytest.raises(ValueError, match=r"slot 1 .*\[0, n_classes\) = \[0, 2\)"):
             member_predictions(pool, np.zeros((3, 1)))
         with pytest.raises(ValueError, match="slot 1 "):
-            prune(pool, np.zeros((3, 1)), np.array([0, 1, 1]), rng=np.random.default_rng(0))
+            fitness(pool, np.zeros((3, 1)), np.array([0, 1, 1]))
 
     def test_vote_shares_sum_to_one(self):
         pool = self._pool_with_fixed_votes([0, 1, 1])

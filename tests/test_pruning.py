@@ -7,7 +7,7 @@ import pytest
 from imbkit import pruning
 from imbkit.learners import ClassifierPool, member_predictions, vote_from_predictions
 from imbkit.metrics import classification_metrics
-from imbkit.pruning import digitize, jaya_update, prune
+from imbkit.pruning import digitize, fitness, jaya_update, prune
 
 
 class FixedPredictor:
@@ -53,6 +53,11 @@ def evaluate_mask(pool: ClassifierPool, mask, features, labels) -> float:
         warnings.simplefilter("ignore")  # fitness data may legitimately miss a class
         return pruning._mask_fitness(preds, np.asarray(mask), np.asarray(labels, dtype=np.int64),
                                      pool.n_classes)
+
+
+def prune_one(pool, x, y, n_pop=20, t_max=50, *, rng):
+    """One fold's search: its pool's fitness, then a ``prune`` call over that fold alone."""
+    return prune([fitness(pool, x, y)], n_pop, t_max, rngs=[rng])[0]
 
 
 def build_pool(members, n_classes):
@@ -142,34 +147,26 @@ class TestDigitize:
 
 
 class TestJayaUpdate:
-    class HalfRng:
-        def random(self, n):
-            return np.full(n, 0.5)
-
     def test_fixed_point_when_best_equals_worst_equals_value(self):
         v = np.array([0.3, 0.8])
-        out = jaya_update(v, v, v, self.HalfRng())
+        out = jaya_update(v, v, v, np.full(4, 0.5))
         assert np.allclose(out, v)
 
     def test_direct_arithmetic(self):
         # 0.4 + 0.5*|1.0-0.4| - 0.5*|0.0-0.4| = 0.4 + 0.3 - 0.2 = 0.5
-        out = jaya_update(np.array([0.4]), np.array([1.0]), np.array([0.0]), self.HalfRng())
+        out = jaya_update(np.array([0.4]), np.array([1.0]), np.array([0.0]), np.full(2, 0.5))
         assert out[0] == pytest.approx(0.5)
 
     def test_clipping(self):
-        class BigRng:
-            def random(self, n):
-                return np.ones(n) * 0.999999
-
-        out = jaya_update(np.array([0.9]), np.array([0.0]), np.array([0.9]), BigRng())
+        out = jaya_update(np.array([0.9]), np.array([0.0]), np.array([0.9]), np.full(2, 0.999999))
         assert 0.0 <= out[0] <= 1.0
 
     def test_population_update_matches_genome_by_genome(self):
         pop, best, worst = np.random.default_rng(5).random((3, 7, 4))
         best, worst = best[0], worst[0]
-        whole = jaya_update(pop, best, worst, np.random.default_rng(9))
-        rng = np.random.default_rng(9)
-        rows = [jaya_update(row, best, worst, rng) for row in pop]
+        whole = jaya_update(pop, best, worst, np.random.default_rng(9).random(2 * pop.size))
+        rng = np.random.default_rng(9)  # each genome draws its own r1 then r2 from the same stream
+        rows = [jaya_update(row, best, worst, rng.random(2 * row.size)) for row in pop]
         assert np.array_equal(whole, np.vstack(rows))
 
     def test_bit_identical_to_clip_expression(self):
@@ -181,14 +178,14 @@ class TestJayaUpdate:
             r = np.random.default_rng(seed).random(2 * pop.size).reshape(len(pop), 2, -1)
             want = np.clip(pop + r[:, 0] * np.abs(best - pop) - r[:, 1] * np.abs(worst - pop),
                            0.0, 1.0)
-            got = jaya_update(pop, best, worst, np.random.default_rng(seed))
+            got = jaya_update(pop, best, worst, np.random.default_rng(seed).random(2 * pop.size))
             assert got.tobytes() == want.tobytes()
 
     def test_stays_in_unit_box(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             v, b, w = rng.random(6), rng.random(6), rng.random(6)
-            out = jaya_update(v, b, w, rng)
+            out = jaya_update(v, b, w, rng.random(2 * v.size))
             assert np.all((out >= 0.0) & (out <= 1.0))
 
 
@@ -202,7 +199,7 @@ class TestPrune:
     def test_pool_of_one_forced_mask(self):
         x, y = self.fitness_data()
         pool = build_pool([OraclePredictor(x, y)], n_classes=2)
-        result = prune(pool, x, y, n_pop=2, t_max=1, rng=np.random.default_rng(0))
+        result = prune_one(pool, x, y, n_pop=2, t_max=1, rng=np.random.default_rng(0))
         assert result.mask.tolist() == [1]
         assert result.history[-1] == pytest.approx(1.0)
 
@@ -210,14 +207,14 @@ class TestPrune:
         x, y = self.fitness_data()
         pool = build_pool([FixedPredictor(0), FixedPredictor(1), OraclePredictor(x, y),
                            FixedPredictor(0)], n_classes=2)
-        result = prune(pool, x, y, n_pop=20, t_max=50, rng=np.random.default_rng(1))
+        result = prune_one(pool, x, y, n_pop=20, t_max=50, rng=np.random.default_rng(1))
         assert result.history[-1] == pytest.approx(1.0)
 
     def test_determinism(self):
         x, y = self.fitness_data()
         pool = build_pool([FixedPredictor(0), OraclePredictor(x, y), FixedPredictor(1)], 2)
-        a = prune(pool, x, y, n_pop=10, t_max=20, rng=np.random.default_rng(3))
-        b = prune(pool, x, y, n_pop=10, t_max=20, rng=np.random.default_rng(3))
+        a = prune_one(pool, x, y, n_pop=10, t_max=20, rng=np.random.default_rng(3))
+        b = prune_one(pool, x, y, n_pop=10, t_max=20, rng=np.random.default_rng(3))
         assert a.mask.tolist() == b.mask.tolist()
         assert a.history == b.history
 
@@ -226,7 +223,7 @@ class TestPrune:
         pool = build_pool([FixedPredictor(0), FixedPredictor(1), OraclePredictor(x, y),
                            FixedPredictor(1), FixedPredictor(0)], 2)
         for seed in range(5):
-            result = prune(pool, x, y, n_pop=8, t_max=30, rng=np.random.default_rng(seed))
+            result = prune_one(pool, x, y, n_pop=8, t_max=30, rng=np.random.default_rng(seed))
             hist = np.array(result.history)
             assert np.all(np.diff(hist) >= 0.0)
 
@@ -238,7 +235,7 @@ class TestPrune:
         probe = np.random.default_rng(11)
         init_best = max(
             evaluate_mask(pool, digitize(probe.random(pool.size)), x, y) for _ in range(6))
-        result = prune(pool, x, y, n_pop=6, t_max=10, rng=rng)
+        result = prune_one(pool, x, y, n_pop=6, t_max=10, rng=rng)
         assert result.history[-1] >= init_best - 1e-12
 
     def test_matches_exhaustive_enumeration_most_seeds(self):
@@ -247,15 +244,27 @@ class TestPrune:
                            FixedPredictor(0), FixedPredictor(1), FixedPredictor(0)], 2)
         target = exhaustive_optimum(pool, x, y)
         hits = sum(
-            prune(pool, x, y, n_pop=20, t_max=50,
+            prune_one(pool, x, y, n_pop=20, t_max=50,
                   rng=np.random.default_rng(seed)).history[-1] >= target - 0.02
             for seed in range(20))
         assert hits >= 16
 
+    @pytest.mark.parametrize("n_classes,dtype", [(3, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_fitness_keeps_narrow_predictions_with_the_same_scores(self, n_classes, dtype):
+        """Every fold holds its fitness predictions until the run's search, so they are kept narrow."""
+        pool, x, y = random_pool(5, seed=n_classes, n_classes=n_classes)
+        fit = fitness(pool, x, y)
+        assert fit.preds.dtype == dtype
+        assert np.array_equal(fit.preds, member_predictions(pool, x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 30 rows miss most of 256 classes
+            for mask in digitize(np.random.default_rng(0).random((8, pool.size))):
+                assert fit.score(mask) == evaluate_mask(pool, mask, x, y)
+
     def test_fitness_equals_independent_reevaluation(self):
         x, y = self.fitness_data()
         pool = build_pool([FixedPredictor(0), OraclePredictor(x, y)], 2)
-        result = prune(pool, x, y, n_pop=6, t_max=10, rng=np.random.default_rng(2))
+        result = prune_one(pool, x, y, n_pop=6, t_max=10, rng=np.random.default_rng(2))
         assert result.history[-1] == pytest.approx(evaluate_mask(pool, result.mask, x, y), abs=1e-12)
         assert int(result.mask.sum()) >= 1
 
@@ -263,16 +272,21 @@ class TestPrune:
         x, y = self.fitness_data()
         pool = build_pool([FixedPredictor(0)], 2)
         with pytest.raises(ValueError):
-            prune(pool, x, y, n_pop=1, t_max=5, rng=np.random.default_rng(0))
+            prune_one(pool, x, y, n_pop=1, t_max=5, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            prune(pool, x, y, n_pop=4, t_max=0, rng=np.random.default_rng(0))
+            prune_one(pool, x, y, n_pop=4, t_max=0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            prune(pool, np.empty((0, 1)), np.empty(0, dtype=int), n_pop=4, t_max=2,
-                  rng=np.random.default_rng(0))
+            prune_one(pool, np.empty((0, 1)), np.empty(0, dtype=int), n_pop=4, t_max=2,
+                      rng=np.random.default_rng(0))
+        scored = fitness(pool, x, y)
+        with pytest.raises(ValueError):
+            prune([scored], n_pop=1, t_max=2, rngs=[np.random.default_rng(0)])
+        with pytest.raises(ValueError, match="1 fitnesses but 2 random streams"):
+            prune([scored], n_pop=4, t_max=2, rngs=[np.random.default_rng(0)] * 2)
 
 
 class TestSearchUnchanged:
-    """The array-based, memoized search against the genome-by-genome reference."""
+    """The batched search over scored masks against the genome-by-genome reference."""
 
     CASES = [(seed, size, n_pop, t_max)
              for seed, (size, n_pop, t_max) in enumerate(itertools.product(
@@ -285,11 +299,11 @@ class TestSearchUnchanged:
     @pytest.mark.parametrize("seed,size,n_pop,t_max", CASES)
     def test_matches_reference(self, seed, size, n_pop, t_max):
         pool, x, y = random_pool(size, seed)
-        mask, fitness, history = reference_prune(pool, x, y, n_pop, t_max,
+        mask, fit, history = reference_prune(pool, x, y, n_pop, t_max,
                                                  np.random.default_rng(seed))
-        result = prune(pool, x, y, n_pop=n_pop, t_max=t_max, rng=np.random.default_rng(seed))
+        result = prune_one(pool, x, y, n_pop=n_pop, t_max=t_max, rng=np.random.default_rng(seed))
         assert result.mask.tolist() == mask.tolist()
-        assert result.history[-1] == fitness
+        assert result.history[-1] == fit
         assert result.history == history
         assert len(result.history) == t_max
 
@@ -297,44 +311,74 @@ class TestSearchUnchanged:
     def test_matches_reference_on_a_wide_pool(self, seed):
         """70 members: masks far past any fixed-width integer code, keys stay exact."""
         pool, x, y = random_pool(70, seed)
-        mask, fitness, history = reference_prune(pool, x, y, 6, 4, np.random.default_rng(seed))
-        result = prune(pool, x, y, n_pop=6, t_max=4, rng=np.random.default_rng(seed))
+        mask, fit, history = reference_prune(pool, x, y, 6, 4, np.random.default_rng(seed))
+        result = prune_one(pool, x, y, n_pop=6, t_max=4, rng=np.random.default_rng(seed))
         assert result.mask.tolist() == mask.tolist()
-        assert result.history[-1] == fitness
+        assert result.history[-1] == fit
         assert result.history == history
 
+    @pytest.mark.parametrize("n_pop,t_max", [(5, 7), (20, 30)])
+    def test_one_batched_call_matches_each_fold_alone(self, n_pop, t_max):
+        """Two pools of each size 1-7 and two of 70 members, each with its own fitness data
+        and stream, searched by one ``prune`` call, match each fold's reference search.
+
+        At 5 x 7 only pools of at most 5 members keep their scores in a table,
+        so the call mixes table and memo searches; the folds alternate sizes, so
+        each size's searches are not adjacent in the call.
+        """
+        folds = [random_pool(size, seed=100 * size + seed)
+                 for seed in (0, 1) for size in (*range(1, 8), 70)]
+        want = [reference_prune(pool, x, y, n_pop, t_max, np.random.default_rng(i))
+                for i, (pool, x, y) in enumerate(folds)]
+        found = prune([fitness(pool, x, y) for pool, x, y in folds], n_pop, t_max,
+                      rngs=[np.random.default_rng(i) for i in range(len(folds))])
+        assert len(found) == len(folds)
+        for (mask, fit, history), result in zip(want, found):
+            assert result.mask.tolist() == mask.tolist()
+            assert result.history == history
+            assert result.history[-1] == fit
+
     @staticmethod
-    def scored_masks(monkeypatch, size, n_pop, t_max, rng=None):
-        """(every ``_mask_fitness`` mask in call order, the set of all masks ``digitize`` gave)."""
-        calls, seen = [], set()
+    def scored_masks(monkeypatch, size, n_pop, t_max, rngs=None):
+        """Per search of one ``prune`` call over ``len(rngs)`` pools of ``size`` members:
+        (every mask ``_mask_fitness`` scored for it, in call order; the set of its masks ``digitize`` gave).
+        """
+        rngs = [np.random.default_rng(i) for i in range(3)] if rngs is None else rngs
+        folds = [random_pool(size, seed=10 * size + i) for i in range(len(rngs))]
+        fits = [fitness(pool, x, y) for pool, x, y in folds]
+        search_of = {id(fit.preds): i for i, fit in enumerate(fits)}
+        calls, seen = [[] for _ in folds], [set() for _ in folds]
         scored, digitized = pruning._mask_fitness, pruning.digitize
 
         def counting(preds, mask, truth, n_classes):
-            calls.append(mask.tobytes())
+            calls[search_of[id(preds)]].append(tuple(mask.tolist()))
             return scored(preds, mask, truth, n_classes)
 
         def recording(values):
-            masks = digitized(values)
-            seen.update(row.tobytes() for row in masks.reshape(-1, size))
+            masks = digitized(values)  # (searches, ..., size)
+            for i, rows in enumerate(masks.reshape(len(folds), -1, size).tolist()):
+                seen[i].update(map(tuple, rows))
             return masks
 
         monkeypatch.setattr(pruning, "_mask_fitness", counting)
         monkeypatch.setattr(pruning, "digitize", recording)
-        pool, x, y = random_pool(size, seed=size)
-        prune(pool, x, y, n_pop=n_pop, t_max=t_max,
-              rng=np.random.default_rng(0) if rng is None else rng)
+        prune(fits, n_pop=n_pop, t_max=t_max, rngs=rngs)
         return calls, seen
 
     @pytest.mark.parametrize("size", [1, 2, 4, 7])
     def test_each_mask_scored_at_most_once(self, monkeypatch, size):
+        """A lattice within the search's budget (a table): the masks each search visits, once each."""
         calls, seen = self.scored_masks(monkeypatch, size, n_pop=20, t_max=50)
-        assert len(calls) == len(set(calls)) <= 2 ** size - 1
-        assert set(calls) == seen
+        for fold_calls, fold_seen in zip(calls, seen):
+            assert len(fold_calls) == len(set(fold_calls)) <= 2 ** size - 1
+            assert set(fold_calls) == fold_seen
 
     def test_wide_pool_scores_each_mask_exactly_once(self, monkeypatch):
+        """A lattice past the budget (a memo): the masks each search visits, once each."""
         calls, seen = self.scored_masks(monkeypatch, 70, n_pop=20, t_max=30)
-        assert len(calls) == len(set(calls))
-        assert set(calls) == seen
+        for fold_calls, fold_seen in zip(calls, seen):
+            assert len(fold_calls) == len(set(fold_calls))
+            assert set(fold_calls) == fold_seen
 
     def test_masks_differing_past_slot_63_keyed_apart(self, monkeypatch):
         """Masks that differ only in slot 0, 64 or 69 are four masks, each scored once."""
@@ -347,6 +391,6 @@ class TestSearchUnchanged:
 
         pop = np.full((4, 70), 0.9)
         pop[1, 69] = pop[2, 64] = pop[3, 0] = 0.1
-        calls, seen = self.scored_masks(monkeypatch, 70, n_pop=4, t_max=2, rng=ScriptedRng(pop))
+        (calls,), (seen,) = self.scored_masks(monkeypatch, 70, n_pop=4, t_max=2, rngs=[ScriptedRng(pop)])
         assert len(seen) == 4
         assert sorted(calls) == sorted(seen)
