@@ -19,12 +19,11 @@ the initial population as ``rng.random((n_pop, m))``, then per generation one
 ``rng.random(2 * n_pop * m)``, read as (n_pop, 2, m), which hands each genome
 the same r1 then r2 values that per-genome calls would.
 
-A genome's fitness depends only on its digitized mask, keyed by one exact
-integer, sum(2^slot) over the selected slots, and each search scores a mask
-the first time it meets it.  When the lattice of 2^m - 1 masks is no larger
-than the n_pop * (t_max + 1) genomes a search meets, the scores go into a
-table indexed by the key, so a generation reads them in one gather; a wider
-pool's go into a memo keyed by Python integers, exact at any pool size.
+A genome's fitness depends only on its digitized mask, and each search scores
+a mask the first time it meets it.  The scores live in one memo for all the
+searches that move as one array, keyed by the search's index followed by the
+mask packed 8 slots to a byte: one bytes object per genome, exact at any pool
+size.
 Scoring draws nothing, so the draws, the winner and the history are exactly
 those of scoring every candidate afresh.
 """
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -139,30 +139,28 @@ def prune(fitnesses, n_pop: int = 20, t_max: int = 50, *, rngs) -> list:
 
 
 def _search(fits_of: list, rngs: list, n_pop: int, t_max: int) -> list:
-    """Jaya over a (searches, n_pop, m) population of pools of one size m."""
-    m = fits_of[0].size
-    rows = np.arange(len(fits_of))[:, None]
-    if 2 ** m - 1 <= n_pop * (t_max + 1):  # the lattice is no larger than the genomes a search meets
-        tables, bits = np.full((len(fits_of), 1 << m), np.nan), 1 << np.arange(m)
+    """Jaya over a (searches, n_pop, m) population of pools of one size m.
 
-        def score(values):
-            masks = digitize(values)
-            keys = masks @ bits
-            for i, g in zip(*np.nonzero(np.isnan(tables[rows, keys]))):
-                if np.isnan(tables[i, keys[i, g]]):  # a mask met twice in one generation is scored once
-                    tables[i, keys[i, g]] = fits_of[i].score(masks[i, g])
-            return tables[rows, keys]
-    else:
-        bits = np.array([1 << slot for slot in range(m)], dtype=object)  # exact at any width
-        memos = [{} for _ in fits_of]
+    ``score`` looks each genome's key up in one memo; a genome its search has
+    not scored yet is scored through ``Fitness.score`` in genome order,
+    search by search, once per mask.
+    """
+    m, n = fits_of[0].size, len(fits_of)
+    packed = np.empty((n, n_pop, 8 + (m + 7) // 8), np.uint8)  # the search's index, then the mask
+    packed[..., :8] = np.arange(n, dtype=np.int64).view(np.uint8).reshape(n, 1, 8)
+    memo = {}
 
-        def score(values):
-            masks = digitize(values)
-            keys = (masks @ bits).tolist()
-            for fit, memo, mk, ks in zip(fits_of, memos, masks, keys):
-                for key in set(ks).difference(memo):
-                    memo[key] = fit.score(mk[ks.index(key)])
-            return np.array([[memo[key] for key in ks] for memo, ks in zip(memos, keys)])
+    def score(values):
+        masks = digitize(values)
+        packed[..., 8:] = np.packbits(masks, axis=-1)
+        keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel().tolist()  # bytes
+        fits = np.fromiter(map(memo.get, keys, repeat(np.nan)), np.float64, len(keys))  # NaN: not scored yet
+        for g in np.flatnonzero(np.isnan(fits)):
+            if keys[g] not in memo:  # a mask met twice in one generation is scored once
+                i, j = divmod(g, n_pop)
+                memo[keys[g]] = fits_of[i].score(masks[i, j])
+            fits[g] = memo[keys[g]]
+        return fits.reshape(n, n_pop)
 
     def leader(pop, at):  # (searches, 1, m): each search's genome at index ``at``
         return np.take_along_axis(pop, at[:, None, None], axis=1)
@@ -171,7 +169,7 @@ def _search(fits_of: list, rngs: list, n_pop: int, t_max: int) -> list:
         warnings.simplefilter("ignore")  # fitness data may legitimately miss a class
         pop = np.stack([rng.random((n_pop, m)) for rng in rngs])
         fits = score(pop)
-        history = np.empty((t_max, len(fits_of)))
+        history = np.empty((t_max, n))
         for t in range(t_max):
             best, worst = leader(pop, fits.argmax(axis=1)), leader(pop, fits.argmin(axis=1))
             draws = np.concatenate([rng.random(2 * n_pop * m) for rng in rngs])

@@ -319,15 +319,15 @@ class TestSearchUnchanged:
 
     @pytest.mark.parametrize("n_pop,t_max", [(5, 7), (20, 30)])
     def test_one_batched_call_matches_each_fold_alone(self, n_pop, t_max):
-        """Two pools of each size 1-7 and two of 70 members, each with its own fitness data
-        and stream, searched by one ``prune`` call, match each fold's reference search.
+        """Two pools of each size 1-9, 16 and 70, each with its own fitness data and
+        stream, searched by one ``prune`` call, match each fold's reference search.
 
-        At 5 x 7 only pools of at most 5 members keep their scores in a table,
-        so the call mixes table and memo searches; the folds alternate sizes, so
-        each size's searches are not adjacent in the call.
+        Sizes 8, 9, 16 and 70 put the memo key's last slot at the end of a byte,
+        one past it, at the end of two bytes and in the ninth; the folds
+        alternate sizes, so each size's searches are not adjacent in the call.
         """
         folds = [random_pool(size, seed=100 * size + seed)
-                 for seed in (0, 1) for size in (*range(1, 8), 70)]
+                 for seed in (0, 1) for size in (*range(1, 10), 16, 70)]
         want = [reference_prune(pool, x, y, n_pop, t_max, np.random.default_rng(i))
                 for i, (pool, x, y) in enumerate(folds)]
         found = prune([fitness(pool, x, y) for pool, x, y in folds], n_pop, t_max,
@@ -342,6 +342,11 @@ class TestSearchUnchanged:
     def scored_masks(monkeypatch, size, n_pop, t_max, rngs=None):
         """Per search of one ``prune`` call over ``len(rngs)`` pools of ``size`` members:
         (every mask ``_mask_fitness`` scored for it, in call order; the set of its masks ``digitize`` gave).
+
+        The callers' per-search check ``set(fold_calls) == fold_seen`` is what
+        guards the search's index inside the memo key: a key without it would
+        score a mask only for the first search that meets it, and every later
+        search of the call would miss that mask in its calls.
         """
         rngs = [np.random.default_rng(i) for i in range(3)] if rngs is None else rngs
         folds = [random_pool(size, seed=10 * size + i) for i in range(len(rngs))]
@@ -365,23 +370,27 @@ class TestSearchUnchanged:
         prune(fits, n_pop=n_pop, t_max=t_max, rngs=rngs)
         return calls, seen
 
-    @pytest.mark.parametrize("size", [1, 2, 4, 7])
+    @pytest.mark.parametrize("size", [1, 2, 4, 7, 9, 12])
     def test_each_mask_scored_at_most_once(self, monkeypatch, size):
-        """A lattice within the search's budget (a table): the masks each search visits, once each."""
+        """The masks each search visits, once each, at widths of one and two key bytes."""
         calls, seen = self.scored_masks(monkeypatch, size, n_pop=20, t_max=50)
         for fold_calls, fold_seen in zip(calls, seen):
             assert len(fold_calls) == len(set(fold_calls)) <= 2 ** size - 1
             assert set(fold_calls) == fold_seen
 
     def test_wide_pool_scores_each_mask_exactly_once(self, monkeypatch):
-        """A lattice past the budget (a memo): the masks each search visits, once each."""
+        """70 members, far more masks than the search meets: the masks each search visits, once each."""
         calls, seen = self.scored_masks(monkeypatch, 70, n_pop=20, t_max=30)
         for fold_calls, fold_seen in zip(calls, seen):
             assert len(fold_calls) == len(set(fold_calls))
             assert set(fold_calls) == fold_seen
 
-    def test_masks_differing_past_slot_63_keyed_apart(self, monkeypatch):
-        """Masks that differ only in slot 0, 64 or 69 are four masks, each scored once."""
+    @pytest.mark.parametrize("size,low,mid,high", [(9, 0, 7, 8), (16, 7, 8, 15), (70, 0, 64, 69)])
+    def test_masks_differing_past_slot_63_keyed_apart(self, monkeypatch, size, low, mid, high):
+        """Masks that differ only in slot ``low``, ``mid`` or ``high`` are four masks, each scored once.
+
+        The slots sit on either side of a byte boundary of the key, or past slot 63.
+        """
         class ScriptedRng:  # a fixed initial population, then steps of zero
             def __init__(self, pop):
                 self.pop = pop
@@ -389,8 +398,8 @@ class TestSearchUnchanged:
             def random(self, size):
                 return self.pop.copy() if isinstance(size, tuple) else np.zeros(size)
 
-        pop = np.full((4, 70), 0.9)
-        pop[1, 69] = pop[2, 64] = pop[3, 0] = 0.1
-        (calls,), (seen,) = self.scored_masks(monkeypatch, 70, n_pop=4, t_max=2, rngs=[ScriptedRng(pop)])
+        pop = np.full((4, size), 0.9)
+        pop[1, high] = pop[2, mid] = pop[3, low] = 0.1
+        (calls,), (seen,) = self.scored_masks(monkeypatch, size, n_pop=4, t_max=2, rngs=[ScriptedRng(pop)])
         assert len(seen) == 4
         assert sorted(calls) == sorted(seen)
