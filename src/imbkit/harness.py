@@ -5,8 +5,9 @@ data, balances it, trains the pool and predicts its fitness rows; one Jaya searc
 then prunes every fold's pool at once, and each fold scores its untouched
 test fold.  Nothing computed from a test fold ever feeds a training-side stage.
 A fold whose data is degenerate for a stage (the stage raises ``ValueError``)
-is recorded as aborted and the report marked partial instead of killing the
-whole run; any other exception is a bug and propagates.
+is recorded as aborted, with the reason ``<stage>: <ExceptionType>: <message>``,
+and the report marked partial; any other exception, and a ``ValueError``
+outside a stage or while scoring, is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -173,6 +174,22 @@ def _fold_neighbors(ds: Dataset, table, train_idx: np.ndarray, knn_k: int) -> np
     return distances.restrict_nearest(distances.pairwise_sq, ds.features, table, train_idx, knn_k)
 
 
+class _Abort(ValueError):
+    """A fold's data is degenerate for a stage; the reason reads ``<stage>: <ExceptionType>: <message>``."""
+
+
+@contextmanager
+def _stage(result: FoldResult, name: str):
+    """Add the block's time to ``result.timings[name]``, and abort the fold on its ``ValueError``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except ValueError as exc:
+        raise _Abort(f"{name}: {type(exc).__name__}: {exc}") from exc
+    finally:
+        result.timings[name] = result.timings.get(name, 0.0) + time.perf_counter() - t0
+
+
 @dataclass
 class _Scored:
     """A fold between its search and its scoring: all that its test scores still need."""
@@ -193,10 +210,9 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
     once (``run_cv``); the pool is then dropped.
     """
     if len(test_idx) == 0:  # more folds than a class has rows: abort before any stage trains
-        raise ValueError(f"repeat {repeat}, fold {fold}: empty test set, nothing to score")
+        raise _Abort(f"split: ValueError: repeat {repeat}, fold {fold}: empty test set, nothing to score")
     seed = config.seed
     result = FoldResult(repeat=repeat, fold=fold, status="ok")
-    clock = time.perf_counter
     shared = None if memo is None else memo.setdefault((repeat, fold), {})
 
     def split_and_partition():
@@ -205,48 +221,37 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
             train_ds, test_x = minmax_scale(train_ds, test_x)
         return train_ds, test_x, partition_regions(train_ds, config)
 
-    t0 = clock()
-    train_ds, test_x, assignment = _shared(shared, "partition", split_and_partition)
-    result.timings["partition"] = clock() - t0
-
-    t0 = clock()
-    keep = clean(train_ds, assignment, config, shared)
-    result.timings["clean"] = clock() - t0
-
-    t0 = clock()
-    neighbors = None if table is None else lambda: _fold_neighbors(ds, table, train_idx, config.or_knn_k)
-    result.or_before = _shared(shared, "or_before", lambda: overlap_ratio(train_ds, config.or_knn_k, neighbors))
-    cleaned = train_ds.subset(keep)  # raises if cleaning emptied a class
-    result.or_after = _shared(shared, ("or_after", keep.tobytes()),
-                              lambda: overlap_ratio(cleaned, config.or_knn_k))
-    result.timings["overlap_ratio"] = clock() - t0
-
-    t0 = clock()
-    training = (balance(train_ds, keep, config, lambda c: rng_for(seed, "omrp", repeat, fold, c)).dataset
-                if config.use_balancing else cleaned)
-    data_x, data_y = training.features, training.labels
-    result.timings["balance"] = clock() - t0
-
-    t0 = clock()
-    pool_seed = int(rng_for(seed, "pool", repeat, fold).integers(2 ** 31))
-    pool_rows = fit_rows = np.arange(data_y.size)
-    if config.use_pruning:
-        pool_rows, fit_rows = _split_for_fitness(data_y, rng_for(seed, "split", repeat, fold))
-        if fit_rows.size == 0:
-            warnings.warn("fitness holdout empty; evaluating pruning on the pool training data",
-                          PipelineWarning, stacklevel=2)
-            fit_rows = pool_rows  # every row: no class could spare one
-    pool = learners.train_pool(data_x[pool_rows], data_y[pool_rows], ds.n_classes,
-                               pool_spec=config.pool, seed=pool_seed)
-    fitness = None
-    if config.use_pruning:
-        fitness = pruning.fitness(pool, data_x[fit_rows], data_y[fit_rows])
-    result.timings["ensemble"] = clock() - t0
-
-    t0 = clock()
-    # kept until every fold's search is done, in the narrowest type that holds a label
-    test_preds = learners.member_predictions(pool, test_x).astype(np.min_scalar_type(ds.n_classes - 1))
-    result.timings["predict"] = clock() - t0
+    with _stage(result, "partition"):
+        train_ds, test_x, assignment = _shared(shared, "partition", split_and_partition)
+    with _stage(result, "clean"):
+        keep = clean(train_ds, assignment, config, shared)
+        cleaned = train_ds.subset(keep)  # raises if cleaning emptied a class
+    with _stage(result, "overlap_ratio"):
+        neighbors = None if table is None else lambda: _fold_neighbors(ds, table, train_idx, config.or_knn_k)
+        result.or_before = _shared(shared, "or_before", lambda: overlap_ratio(train_ds, config.or_knn_k, neighbors))
+        result.or_after = _shared(shared, ("or_after", keep.tobytes()),
+                                  lambda: overlap_ratio(cleaned, config.or_knn_k))
+    with _stage(result, "balance"):
+        training = (balance(train_ds, keep, config, lambda c: rng_for(seed, "omrp", repeat, fold, c)).dataset
+                    if config.use_balancing else cleaned)
+        data_x, data_y = training.features, training.labels
+    with _stage(result, "ensemble"):
+        pool_seed = int(rng_for(seed, "pool", repeat, fold).integers(2 ** 31))
+        pool_rows = fit_rows = np.arange(data_y.size)
+        if config.use_pruning:
+            pool_rows, fit_rows = _split_for_fitness(data_y, rng_for(seed, "split", repeat, fold))
+            if fit_rows.size == 0:
+                warnings.warn("fitness holdout empty; evaluating pruning on the pool training data",
+                              PipelineWarning, stacklevel=2)
+                fit_rows = pool_rows  # every row: no class could spare one
+        pool = learners.train_pool(data_x[pool_rows], data_y[pool_rows], ds.n_classes,
+                                   pool_spec=config.pool, seed=pool_seed)
+        fitness = None
+        if config.use_pruning:
+            fitness = pruning.fitness(pool, data_x[fit_rows], data_y[fit_rows])
+    with _stage(result, "predict"):
+        # kept until every fold's search is done, in the narrowest type that holds a label
+        test_preds = learners.member_predictions(pool, test_x).astype(np.min_scalar_type(ds.n_classes - 1))
     return _Scored(result, np.ones(pool.size, dtype=np.int64), fitness, test_preds, ds.labels[test_idx])
 
 
@@ -266,18 +271,17 @@ def _prune_folds(scored: list, config: RunConfig) -> None:
 
 
 def _score_fold(s: _Scored, n_classes: int) -> FoldResult:
-    """The fold's test metrics and AUC from its mask's vote; timed under ``predict``."""
-    t0 = time.perf_counter()
-    result, selected = s.result, s.mask.astype(bool)
-    preds = learners.vote_from_predictions(s.test_preds, selected, n_classes)
-    result.metrics = metrics.classification_metrics(preds, s.test_y, n_classes)
-    try:
-        scores = learners.vote_shares(s.test_preds, selected, n_classes)
-        result.metrics["auc"] = metrics.macro_ovr_auc(scores, s.test_y)
-    except ValueError:
-        pass  # degenerate single-class test fold: AUC undefined, omitted
-    result.mask = [int(v) for v in s.mask]
-    result.timings["predict"] += time.perf_counter() - t0
+    """The fold's test metrics and AUC from its mask's vote; timed under ``predict``, whose errors propagate."""
+    with _stage(s.result, "predict"):
+        result, selected = s.result, s.mask.astype(bool)
+        preds = learners.vote_from_predictions(s.test_preds, selected, n_classes)
+        result.metrics = metrics.classification_metrics(preds, s.test_y, n_classes)
+        try:
+            scores = learners.vote_shares(s.test_preds, selected, n_classes)
+            result.metrics["auc"] = metrics.macro_ovr_auc(scores, s.test_y)
+        except ValueError:
+            pass  # degenerate single-class test fold: AUC undefined, omitted
+        result.mask = [int(v) for v in s.mask]
     return result
 
 
@@ -328,9 +332,10 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
 
     Each fold runs up to its Jaya search (``_run_fold``), then one batched
     ``pruning.prune`` call searches for every pruned fold, and each fold is
-    scored on its test rows.  Warnings are captured per fold and phase, and
-    the report lists the run's own (fold plan first) and then each fold's, in
-    fold order.
+    scored on its test rows.  Only a ``ValueError`` inside a stage of
+    ``_run_fold`` aborts its fold, under the stage's name (``_stage``).
+    Warnings are captured per fold and phase, and the report lists the run's
+    own (fold plan first) and then each fold's, in fold order.
 
     ``_memo`` is internal: ``_sweep`` passes one to share that table and each fold's early stages.
     """
@@ -349,9 +354,8 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
                     try:
                         fold = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
                                          config, r, f, _memo, table)
-                    except ValueError as exc:
-                        fold = FoldResult(repeat=r, fold=f, status="aborted",
-                                          reason=f"{type(exc).__name__}: {exc}")
+                    except _Abort as exc:
+                        fold = FoldResult(repeat=r, fold=f, status="aborted", reason=str(exc))
                 folds.append((fold, _messages(caught)))
         _prune_folds([fold for fold, _ in folds if isinstance(fold, _Scored)], config)
         fold_results, fold_warnings = [], []

@@ -10,7 +10,7 @@ data strictly improves, so the best fitness never decreases.
 A search runs in two parts.  ``fitness`` runs while the pool exists: it keeps
 the members' predictions on the fitness rows and those rows' labels, so the
 pool can be dropped.  ``prune`` then runs many searches at once, one per
-``Fitness``.  Searches with pools of one size move as one (searches, n_pop, m)
+``Fitness``, all of pools of one size m.  They move as one (searches, n_pop, m)
 array, so each generation's numpy calls serve all of them.  Best and worst are
 fixed at the start of a generation and a genome's acceptance touches only its
 own row, so updating row by row and updating the array are the same search.
@@ -21,9 +21,8 @@ the same r1 then r2 values that per-genome calls would.
 
 A genome's fitness depends only on its digitized mask, and each search scores
 a mask the first time it meets it.  The scores live in one memo for all the
-searches that move as one array, keyed by the search's index followed by the
-mask packed 8 slots to a byte: one bytes object per genome, exact at any pool
-size.
+searches of the call, keyed by the search's index followed by the mask packed
+8 slots to a byte: one bytes object per genome, exact at any pool size.
 Scoring draws nothing, so the draws, the winner and the history are exactly
 those of scoring every candidate afresh.
 """
@@ -117,8 +116,8 @@ def fitness(pool: ClassifierPool, fit_features, fit_labels) -> Fitness:
 def prune(fitnesses, n_pop: int = 20, t_max: int = 50, *, rngs) -> list:
     """One ``PrunedEnsemble`` per ``Fitness``: the subset with the best voted macro F-score.
 
-    Search ``i`` reads ``fitnesses[i]`` and draws from ``rngs[i]``; searches
-    whose pools have one size move as one array.
+    Search ``i`` reads ``fitnesses[i]`` and draws from ``rngs[i]``; every pool
+    must have one size, and all the searches move as one array.
     """
     if n_pop < 2:
         raise ValueError("population size must be >= 2")
@@ -127,15 +126,10 @@ def prune(fitnesses, n_pop: int = 20, t_max: int = 50, *, rngs) -> list:
     fitnesses, rngs = list(fitnesses), list(rngs)
     if len(rngs) != len(fitnesses):
         raise ValueError(f"{len(fitnesses)} fitnesses but {len(rngs)} random streams")
-    groups = {}
-    for i, fit in enumerate(fitnesses):
-        groups.setdefault(fit.size, []).append(i)
-    out = [None] * len(fitnesses)
-    for members in groups.values():
-        found = _search([fitnesses[i] for i in members], [rngs[i] for i in members], n_pop, t_max)
-        for i, result in zip(members, found):
-            out[i] = result
-    return out
+    sizes = sorted({fit.size for fit in fitnesses})
+    if len(sizes) > 1:
+        raise ValueError(f"every pool of one call must have one size, got sizes {sizes}")
+    return _search(fitnesses, rngs, n_pop, t_max) if fitnesses else []
 
 
 def _search(fits_of: list, rngs: list, n_pop: int, t_max: int) -> list:

@@ -116,7 +116,7 @@ class TestRunCv:
         assert len(partitioned) == 150
         for fr in rep.folds:
             if fr.status == "aborted":
-                assert fr.reason == f"ValueError: repeat 0, fold {fr.fold}: empty test set, nothing to score"
+                assert fr.reason == f"split: ValueError: repeat 0, fold {fr.fold}: empty test set, nothing to score"
 
     def test_overflowing_squared_norms_abort_every_fold(self):
         # finite features near 1e154 pass the data and posterior checks, but
@@ -126,7 +126,7 @@ class TestRunCv:
         ds = Dataset(x, np.arange(60) % 2, ("a", "b"))
         rep = run_cv(RunConfig(folds=2, repeats=1, jaya_pop=4, jaya_iters=2), dataset=ds)
         assert rep.partial
-        assert all(fr.status == "aborted" and fr.reason.startswith("ValueError: squared row norms overflow")
+        assert all(fr.status == "aborted" and fr.reason.startswith("clean: ValueError: squared row norms overflow")
                    for fr in rep.folds)
         assert not [w for w in rep.warnings if "overflow encountered" in w]  # the reasons alone speak
 
@@ -137,7 +137,7 @@ class TestRunCv:
         ds = Dataset(ds.features * [1e160, 1.0], ds.labels, ds.class_names)
         rep = run_cv(RunConfig(seed=0, **FAST), dataset=ds)
         assert rep.partial
-        assert all(fr.status == "aborted" and fr.reason.startswith("ValueError: posterior entries")
+        assert all(fr.status == "aborted" and fr.reason.startswith("partition: ValueError: posterior entries")
                    for fr in rep.folds)
 
     def test_programming_error_propagates(self, monkeypatch, separable_ds):
@@ -145,6 +145,40 @@ class TestRunCv:
             raise TypeError("broken stage")
         monkeypatch.setattr(harness, "clean", broken)
         with pytest.raises(TypeError, match="broken stage"):
+            run_cv(RunConfig(seed=0, **FAST), dataset=separable_ds)
+
+    @pytest.mark.parametrize("stage,module,name", [
+        ("partition", harness, "partition_regions"), ("clean", overlap, "sor_all"),
+        ("overlap_ratio", metrics, "overlap_ratios"), ("balance", harness, "balance"),
+        ("ensemble", learners, "train_pool"), ("predict", learners, "member_predictions")])
+    def test_stage_error_aborts_one_fold_under_the_stage_name(self, monkeypatch, fold_calls,
+                                                              overlapping_imbalanced_ds, stage, module, name):
+        def fail():
+            if fold_calls[-1][1:3] == (1, 2):  # the fold now running
+                raise ValueError(f"{name} failed")
+
+        patch_stage(monkeypatch, module, name, fail)
+        rep = run_cv(RunConfig(seed=1, **FAST), dataset=overlapping_imbalanced_ds)
+        assert [(fr.repeat, fr.fold, fr.reason) for fr in rep.folds if fr.status == "aborted"] == \
+            [(1, 2, f"{stage}: ValueError: {name} failed")]
+        assert sum(fr.status == "ok" and bool(fr.metrics) for fr in rep.folds) == N_FOLDS - 1
+
+    def test_class_emptied_by_cleaning_aborts_at_clean(self, monkeypatch, overlapping_imbalanced_ds):
+        monkeypatch.setattr(harness, "clean", lambda ds, *rest: ds.labels != 1)
+        rep = run_cv(RunConfig(seed=0, **FAST), dataset=overlapping_imbalanced_ds)
+        assert all(fr.status == "aborted" and fr.reason.startswith("clean: ValueError: classes with no samples")
+                   for fr in rep.folds)
+
+    @pytest.mark.parametrize("module,name", [(harness, "_Scored"), (pruning, "prune"),
+                                             (metrics, "classification_metrics")])
+    def test_value_error_outside_a_fold_stage_propagates(self, monkeypatch, separable_ds, module, name):
+        # a fold's hand-off to the search, the run's one search and the test-fold
+        # scoring are no stage of _run_fold: their ValueError is a bug, and no fold aborts
+        def fail():
+            raise ValueError(f"{name} failed")
+
+        patch_stage(monkeypatch, module, name, fail)
+        with pytest.raises(ValueError, match=f"{name} failed"):
             run_cv(RunConfig(seed=0, **FAST), dataset=separable_ds)
 
     def test_missing_data_path_rejected(self):
@@ -311,6 +345,7 @@ class TestAblations:
 
 
 SHARED_STAGES = ((harness, "partition_regions"), (overlap, "sor_all"), (metrics, "overlap_ratios"))
+STAGE_OF = {"partition_regions": "partition", "sor_all": "clean", "overlap_ratios": "overlap_ratio"}
 N_FOLDS = FAST["folds"] * FAST["repeats"]
 
 
@@ -390,7 +425,7 @@ class TestSweepSharing:
         assert len(calls) == N_FOLDS * len(reports)  # a failure is not stored
         for key, rep in reports.items():
             assert [(fr.status, fr.reason) for fr in rep.folds] == \
-                [("aborted", f"ValueError: {name} failed")] * N_FOLDS, key
+                [("aborted", f"{STAGE_OF[name]}: ValueError: {name} failed")] * N_FOLDS, key
             assert rep.warnings.count(f"PipelineWarning: before {name} fails") == N_FOLDS, key
 
 
@@ -457,7 +492,7 @@ class TestDatasetNeighbourPass:
         self.failing_pass(monkeypatch, balance_ds.n_samples)
         rep = run_cv(RunConfig(folds=3, **self.CFG), dataset=balance_ds)
         assert [(fr.status, fr.reason) for fr in rep.folds] == \
-            [("aborted", "ValueError: the dataset pass failed")] * 3
+            [("aborted", "overlap_ratio: ValueError: the dataset pass failed")] * 3
         emit_report(rep, tmp_path / "report.json")
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["partial"] is True and len(doc["folds"]) == 3
@@ -490,7 +525,7 @@ class TestDatasetNeighbourPass:
         reports = ablate_components(RunConfig(folds=3, **self.CFG), dataset=balance_ds)
         assert len(passes) == 1  # the error is stored like a table
         for key, rep in reports.items():
-            assert [fr.reason for fr in rep.folds] == ["ValueError: the dataset pass failed"] * 3, key
+            assert [fr.reason for fr in rep.folds] == ["overlap_ratio: ValueError: the dataset pass failed"] * 3, key
 
 
 class TestTestFoldInvariance:

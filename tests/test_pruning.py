@@ -283,6 +283,9 @@ class TestPrune:
             prune([scored], n_pop=1, t_max=2, rngs=[np.random.default_rng(0)])
         with pytest.raises(ValueError, match="1 fitnesses but 2 random streams"):
             prune([scored], n_pop=4, t_max=2, rngs=[np.random.default_rng(0)] * 2)
+        wider = fitness(build_pool([FixedPredictor(0), FixedPredictor(1)], 2), x, y)
+        with pytest.raises(ValueError, match=r"one size, got sizes \[1, 2\]"):
+            prune([scored, wider], n_pop=4, t_max=2, rngs=[np.random.default_rng(0)] * 2)
 
 
 class TestSearchUnchanged:
@@ -320,23 +323,22 @@ class TestSearchUnchanged:
     @pytest.mark.parametrize("n_pop,t_max", [(5, 7), (20, 30)])
     def test_one_batched_call_matches_each_fold_alone(self, n_pop, t_max):
         """Two pools of each size 1-9, 16 and 70, each with its own fitness data and
-        stream, searched by one ``prune`` call, match each fold's reference search.
+        stream, searched by one ``prune`` call per size, match each fold's reference search.
 
         Sizes 8, 9, 16 and 70 put the memo key's last slot at the end of a byte,
-        one past it, at the end of two bytes and in the ninth; the folds
-        alternate sizes, so each size's searches are not adjacent in the call.
+        one past it, at the end of two bytes and in the ninth.
         """
-        folds = [random_pool(size, seed=100 * size + seed)
-                 for seed in (0, 1) for size in (*range(1, 10), 16, 70)]
-        want = [reference_prune(pool, x, y, n_pop, t_max, np.random.default_rng(i))
-                for i, (pool, x, y) in enumerate(folds)]
-        found = prune([fitness(pool, x, y) for pool, x, y in folds], n_pop, t_max,
-                      rngs=[np.random.default_rng(i) for i in range(len(folds))])
-        assert len(found) == len(folds)
-        for (mask, fit, history), result in zip(want, found):
-            assert result.mask.tolist() == mask.tolist()
-            assert result.history == history
-            assert result.history[-1] == fit
+        for size in (*range(1, 10), 16, 70):
+            folds = [random_pool(size, seed=100 * size + seed) for seed in (0, 1)]
+            want = [reference_prune(pool, x, y, n_pop, t_max, np.random.default_rng(i))
+                    for i, (pool, x, y) in enumerate(folds)]
+            found = prune([fitness(pool, x, y) for pool, x, y in folds], n_pop, t_max,
+                          rngs=[np.random.default_rng(i) for i in range(len(folds))])
+            assert len(found) == len(folds)
+            for (mask, fit, history), result in zip(want, found):
+                assert result.mask.tolist() == mask.tolist(), size
+                assert result.history == history, size
+                assert result.history[-1] == fit, size
 
     @staticmethod
     def scored_masks(monkeypatch, size, n_pop, t_max, rngs=None):
