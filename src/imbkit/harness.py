@@ -31,6 +31,16 @@ FITNESS_HOLDOUT_FRACTION = 0.2
 
 @dataclass
 class FoldResult:
+    """One fold's report entry, plus its stage timers, which never enter a report.
+
+    ``timings`` holds each stage's seconds.  ``clean`` includes taking the
+    kept rows; ``ensemble`` is the pool's training and its fitness-row
+    predictions plus, for a pruned fold, 1/F of the run's one search over F
+    folds; ``predict`` is the test rows' member predictions, taken before the
+    search, plus the vote, the metrics and the AUC after it.  The fold plan
+    and the dataset neighbour pass are in no fold's timers.
+    """
+
     repeat: int
     fold: int
     status: str                  # "ok" | "aborted"
@@ -250,8 +260,7 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
         if config.use_pruning:
             fitness = pruning.fitness(pool, data_x[fit_rows], data_y[fit_rows])
     with _stage(result, "predict"):
-        # kept until every fold's search is done, in the narrowest type that holds a label
-        test_preds = learners.member_predictions(pool, test_x).astype(np.min_scalar_type(ds.n_classes - 1))
+        test_preds = learners.member_predictions(pool, test_x)
     return _Scored(result, np.ones(pool.size, dtype=np.int64), fitness, test_preds, ds.labels[test_idx])
 
 
@@ -335,7 +344,8 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
     scored on its test rows.  Only a ``ValueError`` inside a stage of
     ``_run_fold`` aborts its fold, under the stage's name (``_stage``).
     Warnings are captured per fold and phase, and the report lists the run's
-    own (fold plan first) and then each fold's, in fold order.
+    own (fold plan first) and then each fold's, in fold order, as when each
+    fold ran to its end before the next began.
 
     ``_memo`` is internal: ``_sweep`` passes one to share that table and each fold's early stages.
     """
@@ -394,8 +404,9 @@ def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
 
     A variant may override only ``VARIANT_FIELDS``, which no stage before noise
     removal reads, so each fold's earlier stages run once per sweep: a memo
-    private to the sweep holds them under the fold and the stage alone, and
-    the dataset's neighbour table once for the whole sweep.
+    private to the sweep holds them under the fold and the stage alone
+    (``or_after`` once per distinct keep mask), and the dataset's neighbour
+    table once for the whole sweep.
     Every variant's config is built, and so checked, before any variant runs.
     """
     fixed = sorted(set().union(*variants.values()) - set(VARIANT_FIELDS))

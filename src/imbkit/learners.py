@@ -205,7 +205,10 @@ def member_predictions(pool: ClassifierPool, features) -> np.ndarray:
     """(pool size, m) label matrix; computed once and reused by mask evaluations.
 
     A member predicting a label outside [0, n_classes) raises ``ValueError``
-    naming its slot, so the votes counted from the matrix need no check.
+    naming its slot, so the votes counted from the matrix need no check.  The
+    labels then fit the narrowest integer type that holds ``n_classes - 1``,
+    and the matrix is returned in it: a run keeps every fold's matrices until
+    its one search is done.
     """
     x = np.asarray(features, dtype=np.float64)
     preds = np.vstack([clf.predict(x) for clf in pool.classifiers])
@@ -213,7 +216,7 @@ def member_predictions(pool: ClassifierPool, features) -> np.ndarray:
     if bad.any():
         raise ValueError(f"pool member in slot {int(np.flatnonzero(bad)[0])} predicted a label "
                          f"outside [0, n_classes) = [0, {pool.n_classes})")
-    return preds
+    return preds.astype(np.min_scalar_type(pool.n_classes - 1))
 
 
 def count_votes(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -108,9 +108,7 @@ def fitness(pool: ClassifierPool, fit_features, fit_labels) -> Fitness:
     fit_y = np.asarray(fit_labels, dtype=np.int64)
     if fit_x.shape[0] == 0:
         raise ValueError("fitness data must be non-empty")
-    # labels lie in [0, n_classes), so the kept predictions take the narrowest type that holds them
-    preds = member_predictions(pool, fit_x).astype(np.min_scalar_type(pool.n_classes - 1))
-    return Fitness(preds, fit_y, pool.n_classes)
+    return Fitness(member_predictions(pool, fit_x), fit_y, pool.n_classes)
 
 
 def prune(fitnesses, n_pop: int = 20, t_max: int = 50, *, rngs) -> list:

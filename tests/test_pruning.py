@@ -254,7 +254,7 @@ class TestPrune:
         """Every fold holds its fitness predictions until the run's search, so they are kept narrow."""
         pool, x, y = random_pool(5, seed=n_classes, n_classes=n_classes)
         fit = fitness(pool, x, y)
-        assert fit.preds.dtype == dtype
+        assert fit.preds.dtype == member_predictions(pool, x).dtype == dtype
         assert np.array_equal(fit.preds, member_predictions(pool, x))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # 30 rows miss most of 256 classes
