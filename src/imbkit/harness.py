@@ -162,12 +162,16 @@ def _dataset_neighbors(ds: Dataset, config: RunConfig):
     """Each row's K nearest other rows of the whole dataset, or the ``ValueError`` that computing them raised.
 
     Each fold's ``or_before`` reads its training rows' ``or_knn_k`` nearest
-    from this table (``distances.restrict_nearest``), so the matrix is
-    computed once per run, not once per fold.  K grows with ``or_knn_k`` over
-    the training share ``1 - 1/folds``: about 2.5 times as many training rows
-    as ``or_knn_k`` are expected among a row's K, so a row that keeps fewer
-    than ``or_knn_k`` and recomputes its block is rare.  An error is returned,
-    not raised: only the folds that reach ``or_before`` abort with it.
+    from this table (``distances.restrict_nearest``).  ``run_cv`` builds it
+    only where its n² distance cells are fewer than the folds' own, the sum of
+    rows² over training folds above ``or_knn_k`` rows (``_fold_cells``): never
+    at 2 folds and 1 repeat (n²/2), always from 3 folds up (4/3 n² at 1
+    repeat; a 4000-row mixture took 110-125 ms through it, 161 ms without).
+    K grows with ``or_knn_k`` over the training share ``1 - 1/folds``: about
+    2.5 times as many training rows as ``or_knn_k`` are expected among a
+    row's K, so a row that keeps fewer than ``or_knn_k`` and recomputes its
+    block is rare.  An error is returned, not raised: only the folds that
+    reach ``or_before`` abort with it.
     """
     width = min(ds.n_samples - 1, math.ceil(2.5 * config.or_knn_k / (1.0 - 1.0 / config.folds)))  # K
     try:
@@ -285,8 +289,8 @@ def _score_fold(s: _Scored, n_classes: int) -> FoldResult:
         result, selected = s.result, s.mask.astype(bool)
         preds = learners.vote_from_predictions(s.test_preds, selected, n_classes)
         result.metrics = metrics.classification_metrics(preds, s.test_y, n_classes)
+        scores = learners.vote_shares(s.test_preds, selected, n_classes)
         try:
-            scores = learners.vote_shares(s.test_preds, selected, n_classes)
             result.metrics["auc"] = metrics.macro_ovr_auc(scores, s.test_y)
         except ValueError:
             pass  # degenerate single-class test fold: AUC undefined, omitted
@@ -296,20 +300,18 @@ def _score_fold(s: _Scored, n_classes: int) -> FoldResult:
 
 @contextmanager
 def _capture():
-    """Record every warning raised inside; yields the list of them."""
+    """Record every warning raised inside; yields their ``<Category>: <message>`` lines, filled on exit."""
+    lines = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        yield caught
+        yield lines
+    lines += [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
-def _messages(caught) -> list:
-    return [f"{w.category.__name__}: {w.message}" for w in caught]
-
-
-def _largest_training_fold(plan) -> int:
-    """Rows in the plan's largest training fold: all rows but the smallest test fold's."""
-    return plan.fold_ids.shape[1] - min(int(np.bincount(ids, minlength=plan.k).min())
-                                        for ids in plan.fold_ids)
+def _fold_cells(plan, knn_k: int) -> int:
+    """Distance cells of the plan's ``or_before`` fold by fold: rows² of each training fold above ``knn_k`` rows."""
+    rows = plan.fold_ids.shape[1] - np.concatenate([np.bincount(ids, minlength=plan.k) for ids in plan.fold_ids])
+    return int((rows[rows > knn_k] ** 2).sum())
 
 
 def _mean_std(values: dict) -> dict:
@@ -334,10 +336,9 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
     and ``seed``, so reports with those equal share it.  Deterministic for a
     given config and seed.
 
-    Unscaled runs compute each row's nearest rows over the whole dataset once,
-    before the first fold, and each fold's ``or_before`` reads its training
-    rows' from them (``_dataset_neighbors``); a plan whose training folds all
-    have at most ``or_knn_k`` rows has no ``or_before`` and skips that pass.
+    An unscaled run reads each fold's ``or_before`` neighbours from one dataset
+    table where that costs fewer distance cells (``_dataset_neighbors``); scaled
+    folds, each scaled differently, compute their own.  Both give equal ratios.
 
     Each fold runs up to its Jaya search (``_run_fold``), then one batched
     ``pruning.prune`` call searches for every pruned fold, and each fold is
@@ -353,30 +354,28 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
     folds = []  # (_Scored, or the aborted FoldResult, and the fold's warnings)
     with _capture() as run_warnings:
         plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
-        # scaled folds compute their own neighbours (scaling differs per fold), and when
-        # no training fold has more than or_knn_k rows no fold has an or_before to read
         table = None
-        if not config.scale and _largest_training_fold(plan) > config.or_knn_k:
+        if not config.scale and _fold_cells(plan, config.or_knn_k) > dataset.n_samples ** 2:
             table = _shared(_memo, "neighbors", lambda: _dataset_neighbors(dataset, config))
         for r in range(plan.repeats):
             for f in range(plan.k):
-                with _capture() as caught:
+                with _capture() as messages:
                     try:
                         fold = _run_fold(dataset, plan.train_indices(r, f), plan.test_indices(r, f),
                                          config, r, f, _memo, table)
                     except _Abort as exc:
                         fold = FoldResult(repeat=r, fold=f, status="aborted", reason=str(exc))
-                folds.append((fold, _messages(caught)))
+                folds.append((fold, messages))
         _prune_folds([fold for fold, _ in folds if isinstance(fold, _Scored)], config)
         fold_results, fold_warnings = [], []
         for fold, messages in folds:
             if isinstance(fold, _Scored):
-                with _capture() as caught:
+                with _capture() as scoring:
                     fold = _score_fold(fold, dataset.n_classes)
-                messages += _messages(caught)
+                messages += scoring
             fold_results.append(fold)
             fold_warnings += messages
-    caught = _messages(run_warnings) + fold_warnings
+    caught = run_warnings + fold_warnings
 
     ok = [fr for fr in fold_results if fr.status == "ok"]
     aggregate = _mean_std({key: [fr.metrics[key] for fr in ok if key in fr.metrics]
@@ -406,7 +405,7 @@ def _sweep(config: RunConfig, variants: dict, dataset: Dataset | None) -> dict:
     removal reads, so each fold's earlier stages run once per sweep: a memo
     private to the sweep holds them under the fold and the stage alone
     (``or_after`` once per distinct keep mask), and the dataset's neighbour
-    table once for the whole sweep.
+    table, where one is built, once for the whole sweep.
     Every variant's config is built, and so checked, before any variant runs.
     """
     fixed = sorted(set().union(*variants.values()) - set(VARIANT_FIELDS))

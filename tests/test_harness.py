@@ -170,10 +170,11 @@ class TestRunCv:
                    for fr in rep.folds)
 
     @pytest.mark.parametrize("module,name", [(harness, "_Scored"), (pruning, "prune"),
-                                             (metrics, "classification_metrics")])
+                                             (metrics, "classification_metrics"), (learners, "vote_shares")])
     def test_value_error_outside_a_fold_stage_propagates(self, monkeypatch, separable_ds, module, name):
         # a fold's hand-off to the search, the run's one search and the test-fold
-        # scoring are no stage of _run_fold: their ValueError is a bug, and no fold aborts
+        # scoring are no stage of _run_fold: their ValueError is a bug, and no fold aborts;
+        # only macro_ovr_auc's on a single-class test fold is caught, and drops the AUC
         def fail():
             raise ValueError(f"{name} failed")
 
@@ -430,7 +431,9 @@ class TestSweepSharing:
 
 
 class TestDatasetNeighbourPass:
-    """Unscaled runs compute one K-nearest table over the whole dataset; each fold's ``or_before`` reads it.
+    """An unscaled run computes one K-nearest table over the whole dataset, and each fold's
+    ``or_before`` reads it, where the training folds that reach ``or_before`` would compute
+    more distance cells on their own (the sum of their rows²) than its n².
 
     balance's integer features make every distance cell exact, so a cell does
     not depend on which rows share its block, and ``or_before`` read from the
@@ -451,15 +454,51 @@ class TestDatasetNeighbourPass:
                             lambda ds, config: calls.append(ds) or compute(ds, config))
         return calls
 
-    @pytest.mark.parametrize("folds", [2, 5])
-    def test_or_before_equals_the_training_fold_alone(self, balance_ds, passes, folds):
-        cfg = RunConfig(folds=folds, **self.CFG)
-        rep = run_cv(cfg, dataset=balance_ds)
-        plan = stratified_folds(balance_ds, folds, 1, cfg.seed)
-        assert len(passes) == 1 and not rep.partial
+    @staticmethod
+    def assert_or_before_of_the_training_fold_alone(rep, ds):
+        plan = stratified_folds(ds, rep.config.folds, rep.config.repeats, rep.config.seed)
+        assert not rep.partial
         for fr in rep.folds:
-            train = balance_ds.subset(plan.train_indices(fr.repeat, fr.fold))
-            assert fr.or_before == harness.overlap_ratio(train, cfg.or_knn_k), fr.fold
+            train = ds.subset(plan.train_indices(fr.repeat, fr.fold))
+            assert fr.or_before == harness.overlap_ratio(train, rep.config.or_knn_k), (fr.repeat, fr.fold)
+
+    # cells of the training folds against n²: 0.5 at 2x1, 1.000003 at 2x2 (balance's
+    # 625 rows split 312 + 313), 1.33 at 3x1 and 3.2 at 5x1
+    @pytest.mark.parametrize("folds,repeats,n_passes", [(2, 1, 0), (2, 2, 1), (3, 1, 1), (5, 1, 1)],
+                             ids=["2x1", "2x2", "3x1", "5x1"])
+    def test_or_before_equals_the_training_fold_alone(self, balance_ds, passes, folds, repeats, n_passes):
+        rep = run_cv(RunConfig(folds=folds, **dict(self.CFG, repeats=repeats)), dataset=balance_ds)
+        assert len(passes) == n_passes
+        self.assert_or_before_of_the_training_fold_alone(rep, balance_ds)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_pass_taken_from_3_folds_and_never_at_2x1(self, monkeypatch, data_dir, passes, name):
+        ds = load_csv(data_dir / f"{name}.csv", "class")
+
+        def no_fold(*args):
+            raise harness._Abort("split: ValueError: not run")
+
+        monkeypatch.setattr(harness, "_run_fold", no_fold)
+        for folds, repeats, n_passes in ((2, 1, 0), (3, 1, 1), (5, 1, 1), (5, 10, 1)):
+            passes.clear()
+            run_cv(RunConfig(folds=folds, repeats=repeats), dataset=ds)
+            assert len(passes) == n_passes, (folds, repeats)
+
+    def test_short_rows_recompute_their_block(self, data_dir, monkeypatch, passes):
+        # at 3 folds and or_knn_k=1 the table holds K=4 neighbours per row, and 6
+        # training rows of new-thyroid find none of theirs in their training fold
+        ds = load_csv(data_dir / "new-thyroid.csv", "class")
+        short = []
+        restrict = harness.distances.restrict_nearest
+
+        def recording(distance, x, table, rows, k):
+            short.append(int(np.count_nonzero(np.isin(table[rows], rows).sum(axis=1) < k)))
+            return restrict(distance, x, table, rows, k)
+
+        monkeypatch.setattr(harness.distances, "restrict_nearest", recording)
+        rep = run_cv(RunConfig(folds=3, or_knn_k=1, **self.CFG), dataset=ds)
+        assert len(passes) == 1 and sum(short) == 6
+        self.assert_or_before_of_the_training_fold_alone(rep, ds)
 
     def test_one_pass_per_run_and_per_sweep(self, balance_ds, passes, fold_calls):
         cfg = RunConfig(folds=3, **self.CFG)
@@ -501,24 +540,27 @@ class TestDatasetNeighbourPass:
         assert not rep.partial
         assert all(fr.or_before is None for fr in rep.folds)
 
-    def test_no_pass_when_no_training_fold_exceeds_or_knn_k(self, tmp_path, monkeypatch, balance_ds, passes):
-        # 2 folds of 625 rows: the largest training fold has 313 rows
-        plan = stratified_folds(balance_ds, 2, 1, 0)
-        largest = max(len(plan.train_indices(0, f)) for f in range(2))
-        assert harness._largest_training_fold(plan) == largest == 313
-        cfg = RunConfig(folds=2, or_knn_k=largest, **self.CFG)
-        skipped = report_bytes(run_cv(cfg, dataset=balance_ds), tmp_path / "skipped.json")
-        assert passes == []
-        assert b'"or_before": null' in skipped and b'"or_before": 0' not in skipped
-        # the same run with the pass computed, as it was before the pass was skipped, gives the same bytes
-        with monkeypatch.context() as mp:
-            mp.setattr(harness, "_largest_training_fold", lambda plan: balance_ds.n_samples)
-            assert report_bytes(run_cv(cfg, dataset=balance_ds), tmp_path / "computed.json") == skipped
+    def test_no_pass_when_no_training_fold_exceeds_or_knn_k(self, tmp_path, monkeypatch, data_dir, passes):
+        # vehicle's 5 training folds have 676, 676, 677, 677 and 678 of its 846 rows: 3.2 n² cells
+        # when every fold reaches or_before, none at or_knn_k=678
+        ds = load_csv(data_dir / "vehicle.csv", "class")
+        plan = stratified_folds(ds, 5, 1, 0)
+        assert sorted(len(plan.train_indices(0, f)) for f in range(5)) == [676, 676, 677, 677, 678]
+        for k, reached in ((678, 0), (677, 1)):  # 678² < 846²: the one fold computes its own
+            cfg = RunConfig(folds=5, or_knn_k=k, **self.CFG)
+            run = report_bytes(run_cv(cfg, dataset=ds), tmp_path / "run.json")
+            assert passes == []
+            assert run.count(b'"or_before": null') == 5 - reached
+            # the same run with the pass forced gives the same bytes
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, "_fold_cells", lambda plan, knn_k: ds.n_samples ** 2 + 1)
+                assert report_bytes(run_cv(cfg, dataset=ds), tmp_path / "forced.json") == run
+            assert len(passes) == 1
+            passes.clear()
+        # three folds reach or_before at 676: their cells exceed n², so the pass runs
+        rep = run_cv(replace(cfg, or_knn_k=676), dataset=ds)
         assert len(passes) == 1
-        # one neighbour fewer: the largest fold reaches or_before, so the pass runs
-        rep = run_cv(replace(cfg, or_knn_k=largest - 1), dataset=balance_ds)
-        assert len(passes) == 2
-        assert any(fr.or_before is not None for fr in rep.folds)
+        assert sum(fr.or_before is not None for fr in rep.folds) == 3
 
     def test_pass_error_aborts_every_variant_of_a_sweep(self, monkeypatch, balance_ds, passes):
         self.failing_pass(monkeypatch, balance_ds.n_samples)
