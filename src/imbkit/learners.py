@@ -184,7 +184,7 @@ class ClassifierPool:
 def train_pool(features, labels, n_classes: int, pool_spec=None, seed: int = 0) -> ClassifierPool:
     """Train the weak-classifier pool on one training set.
 
-    ``pool_spec`` is a sequence of (kind, params) pairs; the default is
+    ``pool_spec`` is a non-empty sequence of (kind, params) pairs; the default is
     [knn(k=3), gaussian_nb, gini stump, extra-tree stump].  Randomized members
     derive their stream from (seed, slot index).
     """
@@ -193,6 +193,8 @@ def train_pool(features, labels, n_classes: int, pool_spec=None, seed: int = 0) 
     if np.unique(y).size < 2:
         raise ValueError("pool training needs at least 2 classes present")
     spec = tuple(pool_spec) if pool_spec is not None else DEFAULT_POOL_SPEC
+    if not spec:
+        raise ValueError("pool_spec must name at least one classifier")
     members = []
     for slot, (kind, params) in enumerate(spec):
         clf = make_classifier(kind, dict(params), seed=(int(seed) * 1000003 + slot) & 0x7FFFFFFF)

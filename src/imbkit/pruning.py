@@ -20,7 +20,10 @@ the initial population as ``rng.random((n_pop, m))``, then per generation one
 the same r1 then r2 values that per-genome calls would.
 
 A genome's fitness depends only on its digitized mask, and each search scores
-a mask the first time it meets it.  The scores live in one memo for all the
+a mask the first time it meets it.  ``prune`` scores it in its own body: the
+mask's vote over its ``Fitness`` predictions (``vote_from_predictions``), then
+that vote's macro F-score against the fitness labels
+(``classification_metrics``).  The scores live in one memo for all the
 searches of the call, keyed by the search's index followed by the mask packed
 8 slots to a byte: one bytes object per genome, exact at any pool size.
 Scoring draws nothing, so the draws, the winner and the history are exactly
@@ -52,13 +55,6 @@ class Fitness:
     preds: np.ndarray   # (pool size, fitness rows): the members' predictions
     truth: np.ndarray   # the fitness rows' labels
     n_classes: int
-
-    @property
-    def size(self) -> int:
-        return self.preds.shape[0]
-
-    def score(self, mask: np.ndarray) -> float:
-        return _mask_fitness(self.preds, mask, self.truth, self.n_classes)
 
 
 def digitize(values: np.ndarray) -> np.ndarray:
@@ -97,11 +93,6 @@ def jaya_update(values: np.ndarray, best: np.ndarray, worst: np.ndarray,
     return np.minimum(out, 1.0, out=out)
 
 
-def _mask_fitness(preds: np.ndarray, mask: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
-    voted = vote_from_predictions(preds, mask, n_classes)
-    return classification_metrics(voted, truth, n_classes)["f1"]
-
-
 def fitness(pool: ClassifierPool, fit_features, fit_labels) -> Fitness:
     """The data a search of ``pool``'s masks reads, so the pool can be dropped before it."""
     fit_x = np.asarray(fit_features, dtype=np.float64)
@@ -115,7 +106,8 @@ def prune(fitnesses, n_pop: int = 20, t_max: int = 50, *, rngs) -> list:
     """One ``PrunedEnsemble`` per ``Fitness``: the subset with the best voted macro F-score.
 
     Search ``i`` reads ``fitnesses[i]`` and draws from ``rngs[i]``; every pool
-    must have one size, and all the searches move as one array.
+    must have one size m, and all the searches move as one (searches, n_pop, m)
+    array.
     """
     if n_pop < 2:
         raise ValueError("population size must be >= 2")
@@ -124,25 +116,17 @@ def prune(fitnesses, n_pop: int = 20, t_max: int = 50, *, rngs) -> list:
     fitnesses, rngs = list(fitnesses), list(rngs)
     if len(rngs) != len(fitnesses):
         raise ValueError(f"{len(fitnesses)} fitnesses but {len(rngs)} random streams")
-    sizes = sorted({fit.size for fit in fitnesses})
+    sizes = sorted({fit.preds.shape[0] for fit in fitnesses})
     if len(sizes) > 1:
         raise ValueError(f"every pool of one call must have one size, got sizes {sizes}")
-    return _search(fitnesses, rngs, n_pop, t_max) if fitnesses else []
-
-
-def _search(fits_of: list, rngs: list, n_pop: int, t_max: int) -> list:
-    """Jaya over a (searches, n_pop, m) population of pools of one size m.
-
-    ``score`` looks each genome's key up in one memo; a genome its search has
-    not scored yet is scored through ``Fitness.score`` in genome order,
-    search by search, once per mask.
-    """
-    m, n = fits_of[0].size, len(fits_of)
+    if not fitnesses:
+        return []
+    m, n = sizes[0], len(fitnesses)
     packed = np.empty((n, n_pop, 8 + (m + 7) // 8), np.uint8)  # the search's index, then the mask
     packed[..., :8] = np.arange(n, dtype=np.int64).view(np.uint8).reshape(n, 1, 8)
     memo = {}
 
-    def score(values):
+    def score(values):  # unmet masks are scored in genome order, search by search
         masks = digitize(values)
         packed[..., 8:] = np.packbits(masks, axis=-1)
         keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel().tolist()  # bytes
@@ -150,7 +134,9 @@ def _search(fits_of: list, rngs: list, n_pop: int, t_max: int) -> list:
         for g in np.flatnonzero(np.isnan(fits)):
             if keys[g] not in memo:  # a mask met twice in one generation is scored once
                 i, j = divmod(g, n_pop)
-                memo[keys[g]] = fits_of[i].score(masks[i, j])
+                fit = fitnesses[i]
+                voted = vote_from_predictions(fit.preds, masks[i, j], fit.n_classes)
+                memo[keys[g]] = classification_metrics(voted, fit.truth, fit.n_classes)["f1"]
             fits[g] = memo[keys[g]]
         return fits.reshape(n, n_pop)
 

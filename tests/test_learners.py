@@ -136,6 +136,12 @@ class TestTrainPool:
                           pool_spec=[("knn", {"k": 1}), ("tree", {"max_depth": 2})], seed=0)
         assert [type(c) for c in pool.classifiers] == [KNNClassifier, GiniTreeClassifier]
 
+    def test_empty_pool_spec_rejected(self):
+        ds = make_blobs([(0, 0), (5, 5)], [15, 15], seed=0)
+        for spec in ([], ()):
+            with pytest.raises(ValueError, match="pool_spec"):
+                train_pool(ds.features, ds.labels, 2, pool_spec=spec, seed=0)
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
             train_pool(np.zeros((5, 1)), np.zeros(5, dtype=int), 2, seed=0)

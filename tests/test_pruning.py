@@ -46,13 +46,17 @@ class NoisyPredictor:
         return np.array([self._map[tuple(row)] for row in np.atleast_2d(x)], dtype=np.int64)
 
 
-def evaluate_mask(pool: ClassifierPool, mask, features, labels) -> float:
-    """Macro F-score of the mask's majority vote; the independent recheck for results."""
-    preds = member_predictions(pool, features)
+def voted_f1(preds, mask, labels, n_classes) -> float:
+    """Macro F-score of the majority vote of the members ``mask`` selects."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fitness data may legitimately miss a class
-        return pruning._mask_fitness(preds, np.asarray(mask), np.asarray(labels, dtype=np.int64),
-                                     pool.n_classes)
+        voted = vote_from_predictions(preds, np.asarray(mask), n_classes)
+        return classification_metrics(voted, np.asarray(labels, dtype=np.int64), n_classes)["f1"]
+
+
+def evaluate_mask(pool: ClassifierPool, mask, features, labels) -> float:
+    """Macro F-score of the mask's majority vote; the independent recheck for results."""
+    return voted_f1(member_predictions(pool, features), mask, labels, pool.n_classes)
 
 
 def prune_one(pool, x, y, n_pop=20, t_max=50, *, rng):
@@ -256,10 +260,10 @@ class TestPrune:
         fit = fitness(pool, x, y)
         assert fit.preds.dtype == member_predictions(pool, x).dtype == dtype
         assert np.array_equal(fit.preds, member_predictions(pool, x))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # 30 rows miss most of 256 classes
-            for mask in digitize(np.random.default_rng(0).random((8, pool.size))):
-                assert fit.score(mask) == evaluate_mask(pool, mask, x, y)
+        wide = fit.preds.astype(np.int64)
+        for mask in digitize(np.random.default_rng(0).random((8, pool.size))):
+            assert (voted_f1(fit.preds, mask, fit.truth, fit.n_classes)
+                    == voted_f1(wide, mask, y, pool.n_classes))
 
     def test_fitness_equals_independent_reevaluation(self):
         x, y = self.fitness_data()
@@ -343,23 +347,32 @@ class TestSearchUnchanged:
     @staticmethod
     def scored_masks(monkeypatch, size, n_pop, t_max, rngs=None):
         """Per search of one ``prune`` call over ``len(rngs)`` pools of ``size`` members:
-        (every mask ``_mask_fitness`` scored for it, in call order; the set of its masks ``digitize`` gave).
+        (every mask ``pruning.vote_from_predictions`` voted for it, in call order;
+        the number of its ``pruning.classification_metrics`` calls; the set of its
+        masks ``digitize`` gave).
 
         The callers' per-search check ``set(fold_calls) == fold_seen`` is what
         guards the search's index inside the memo key: a key without it would
         score a mask only for the first search that meets it, and every later
-        search of the call would miss that mask in its calls.
+        search of the call would miss that mask in its calls.  Both bindings
+        are the ones the benchmark's ``fitness_evals`` and metric calls count.
         """
         rngs = [np.random.default_rng(i) for i in range(3)] if rngs is None else rngs
         folds = [random_pool(size, seed=10 * size + i) for i in range(len(rngs))]
         fits = [fitness(pool, x, y) for pool, x, y in folds]
         search_of = {id(fit.preds): i for i, fit in enumerate(fits)}
-        calls, seen = [[] for _ in folds], [set() for _ in folds]
-        scored, digitized = pruning._mask_fitness, pruning.digitize
+        search_of.update({id(fit.truth): i for i, fit in enumerate(fits)})
+        calls, f1s, seen = [[] for _ in folds], [0] * len(folds), [set() for _ in folds]
+        voter, metrics, digitized = (pruning.vote_from_predictions, pruning.classification_metrics,
+                                     pruning.digitize)
 
-        def counting(preds, mask, truth, n_classes):
+        def voting(preds, mask, n_classes):
             calls[search_of[id(preds)]].append(tuple(mask.tolist()))
-            return scored(preds, mask, truth, n_classes)
+            return voter(preds, mask, n_classes)
+
+        def scoring(voted, truth, n_classes):
+            f1s[search_of[id(truth)]] += 1
+            return metrics(voted, truth, n_classes)
 
         def recording(values):
             masks = digitized(values)  # (searches, ..., size)
@@ -367,24 +380,25 @@ class TestSearchUnchanged:
                 seen[i].update(map(tuple, rows))
             return masks
 
-        monkeypatch.setattr(pruning, "_mask_fitness", counting)
+        monkeypatch.setattr(pruning, "vote_from_predictions", voting)
+        monkeypatch.setattr(pruning, "classification_metrics", scoring)
         monkeypatch.setattr(pruning, "digitize", recording)
         prune(fits, n_pop=n_pop, t_max=t_max, rngs=rngs)
-        return calls, seen
+        return calls, f1s, seen
 
     @pytest.mark.parametrize("size", [1, 2, 4, 7, 9, 12])
     def test_each_mask_scored_at_most_once(self, monkeypatch, size):
         """The masks each search visits, once each, at widths of one and two key bytes."""
-        calls, seen = self.scored_masks(monkeypatch, size, n_pop=20, t_max=50)
-        for fold_calls, fold_seen in zip(calls, seen):
-            assert len(fold_calls) == len(set(fold_calls)) <= 2 ** size - 1
+        calls, f1s, seen = self.scored_masks(monkeypatch, size, n_pop=20, t_max=50)
+        for fold_calls, fold_f1s, fold_seen in zip(calls, f1s, seen):
+            assert len(fold_calls) == len(set(fold_calls)) == fold_f1s <= 2 ** size - 1
             assert set(fold_calls) == fold_seen
 
     def test_wide_pool_scores_each_mask_exactly_once(self, monkeypatch):
         """70 members, far more masks than the search meets: the masks each search visits, once each."""
-        calls, seen = self.scored_masks(monkeypatch, 70, n_pop=20, t_max=30)
-        for fold_calls, fold_seen in zip(calls, seen):
-            assert len(fold_calls) == len(set(fold_calls))
+        calls, f1s, seen = self.scored_masks(monkeypatch, 70, n_pop=20, t_max=30)
+        for fold_calls, fold_f1s, fold_seen in zip(calls, f1s, seen):
+            assert len(fold_calls) == len(set(fold_calls)) == fold_f1s
             assert set(fold_calls) == fold_seen
 
     @pytest.mark.parametrize("size,low,mid,high", [(9, 0, 7, 8), (16, 7, 8, 15), (70, 0, 64, 69)])
@@ -402,6 +416,7 @@ class TestSearchUnchanged:
 
         pop = np.full((4, size), 0.9)
         pop[1, high] = pop[2, mid] = pop[3, low] = 0.1
-        (calls,), (seen,) = self.scored_masks(monkeypatch, size, n_pop=4, t_max=2, rngs=[ScriptedRng(pop)])
-        assert len(seen) == 4
+        (calls,), (f1s,), (seen,) = self.scored_masks(monkeypatch, size, n_pop=4, t_max=2,
+                                                      rngs=[ScriptedRng(pop)])
+        assert len(seen) == 4 == f1s
         assert sorted(calls) == sorted(seen)
