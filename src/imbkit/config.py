@@ -21,6 +21,7 @@ _RANGES = {
     "folds": (lambda v: v >= 2, ">= 2"),
     "repeats": (lambda v: v >= 1, ">= 1"),
     "threshold_mode": (lambda v: v in THRESHOLD_MODES, f"one of {THRESHOLD_MODES}"),
+    "z_threshold": (lambda v: abs(v) < float("inf"), "finite"),  # math.isfinite raises on an int past float's range
     "sor_fallback_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "sor_keep": (lambda v: v in KEEP_MODES, f"one of {KEEP_MODES}"),
     "omrp_k": (lambda v: v >= 1, ">= 1"),

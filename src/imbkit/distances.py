@@ -116,10 +116,10 @@ def reduce_rows(distance, a: np.ndarray, b: np.ndarray, reduce, *, exclude_self:
     return np.concatenate(parts) if parts else reduce(np.empty((0, len(b))))
 
 
-def restrict_nearest(distance, x: np.ndarray, table: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+def restrict_nearest(x: np.ndarray, table: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """(len(rows), k) positions in ``rows`` of each row's k nearest other rows of ``x[rows]``.
 
-    ``table`` is ``reduce_rows(distance, x, x, lambda sq: nearest(sq, K), exclude_self=True)``
+    ``table`` is ``reduce_rows(pairwise_sq, x, x, lambda sq: nearest(sq, K), exclude_self=True)``
     for some K >= k, and ``rows`` is sorted, unique and at least k + 1 long.  The
     result is then ``nearest`` on the rows of ``x``'s own matrix, with the self
     cell and every column outside ``rows`` at ``inf``: ties fall to the lower
@@ -141,7 +141,7 @@ def restrict_nearest(distance, x: np.ndarray, table: np.ndarray, rows: np.ndarra
         norms, outside = _sq_norms(x), position < 0
         for start in np.unique(rows[short] // NEAREST_BLOCK) * NEAREST_BLOCK:
             here = short[(rows[short] >= start) & (rows[short] < start + NEAREST_BLOCK)]
-            sq = distance(x[start:start + NEAREST_BLOCK], x, norms)[rows[here] - start]
+            sq = pairwise_sq(x[start:start + NEAREST_BLOCK], x, norms)[rows[here] - start]
             sq[:, outside] = np.inf
             sq[np.arange(here.size), rows[here]] = np.inf
             out[here] = position[nearest(sq, k)]

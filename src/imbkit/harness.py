@@ -158,8 +158,8 @@ def overlap_ratio(ds: Dataset, knn_k: int, neighbors=None) -> float | None:
                                   neighbors=None if neighbors is None else neighbors()).or_dataset
 
 
-def _dataset_neighbors(ds: Dataset, config: RunConfig):
-    """Each row's K nearest other rows of the whole dataset, or the ``ValueError`` that computing them raised.
+def _dataset_neighbors(ds: Dataset, config: RunConfig) -> np.ndarray | None:
+    """Each row's K nearest other rows of the whole dataset; None where computing them raises ``ValueError``.
 
     Each fold's ``or_before`` reads its training rows' ``or_knn_k`` nearest
     from this table (``distances.restrict_nearest``).  ``run_cv`` builds it
@@ -170,22 +170,15 @@ def _dataset_neighbors(ds: Dataset, config: RunConfig):
     K grows with ``or_knn_k`` over the training share ``1 - 1/folds``: about
     2.5 times as many training rows as ``or_knn_k`` are expected among a
     row's K, so a row that keeps fewer than ``or_knn_k`` and recomputes its
-    block is rare.  An error is returned, not raised: only the folds that
-    reach ``or_before`` abort with it.
+    block is rare.  A pass that raises (an overflowing distance identity) builds
+    no table: each fold computes its own and aborts only if its rows overflow.
     """
     width = min(ds.n_samples - 1, math.ceil(2.5 * config.or_knn_k / (1.0 - 1.0 / config.folds)))  # K
     try:
         return distances.reduce_rows(distances.pairwise_sq, ds.features, ds.features,
                                      lambda sq: distances.nearest(sq, width), exclude_self=True)
-    except ValueError as exc:
-        return exc
-
-
-def _fold_neighbors(ds: Dataset, table, train_idx: np.ndarray, knn_k: int) -> np.ndarray:
-    """The training rows' ``knn_k`` nearest training rows, from the dataset's neighbour table."""
-    if isinstance(table, ValueError):
-        raise ValueError(*table.args)
-    return distances.restrict_nearest(distances.pairwise_sq, ds.features, table, train_idx, knn_k)
+    except ValueError:
+        return None
 
 
 class _Abort(ValueError):
@@ -216,7 +209,7 @@ class _Scored:
 
 def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
               config: RunConfig, repeat: int, fold: int, memo: dict | None,
-              table=None) -> _Scored:
+              table: np.ndarray | None) -> _Scored:
     """Every stage of one fold up to the Jaya search, and the test rows' member predictions.
 
     With pruning on, the pool's predictions on the fitness rows are kept here
@@ -241,7 +234,8 @@ def _run_fold(ds: Dataset, train_idx: np.ndarray, test_idx: np.ndarray,
         keep = clean(train_ds, assignment, config, shared)
         cleaned = train_ds.subset(keep)  # raises if cleaning emptied a class
     with _stage(result, "overlap_ratio"):
-        neighbors = None if table is None else lambda: _fold_neighbors(ds, table, train_idx, config.or_knn_k)
+        neighbors = None if table is None else (
+            lambda: distances.restrict_nearest(ds.features, table, train_idx, config.or_knn_k))
         result.or_before = _shared(shared, "or_before", lambda: overlap_ratio(train_ds, config.or_knn_k, neighbors))
         result.or_after = _shared(shared, ("or_after", keep.tobytes()),
                                   lambda: overlap_ratio(cleaned, config.or_knn_k))
@@ -338,7 +332,8 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
 
     An unscaled run reads each fold's ``or_before`` neighbours from one dataset
     table where that costs fewer distance cells (``_dataset_neighbors``); scaled
-    folds, each scaled differently, compute their own.  Both give equal ratios.
+    folds, each scaled differently, compute their own, as do all folds where
+    the table's pass overflows and builds none.  Both give equal ratios.
 
     Each fold runs up to its Jaya search (``_run_fold``), then one batched
     ``pruning.prune`` call searches for every pruned fold, and each fold is

@@ -42,7 +42,7 @@ def fold_calls(monkeypatch):
 
     These are the index arrays ``run_cv`` actually hands each fold; the
     trailing arguments, the memo private to a sweep (None outside one) and the
-    dataset's neighbour table (None for scaled runs), pass through untouched.
+    dataset's neighbour table (None where the run builds none), pass through untouched.
     """
     calls = []
     run_fold = harness._run_fold

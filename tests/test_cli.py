@@ -189,7 +189,7 @@ class TestDerivedFlags:
 
 
 # An out-of-range value for each RunConfig field that has a range.
-OUT_OF_RANGE = {"folds": 1, "repeats": 0, "threshold_mode": "median",
+OUT_OF_RANGE = {"folds": 1, "repeats": 0, "threshold_mode": "median", "z_threshold": float("nan"),
                 "sor_fallback_fraction": 0.0, "sor_keep": "middle", "omrp_k": 0, "jaya_pop": 1,
                 "jaya_iters": 0, "noise_remove_fraction": 1.5, "or_knn_k": 0}
 

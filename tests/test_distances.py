@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbkit import distances
 from imbkit.data_model import load_csv, minmax_scale
 from imbkit.distances import (CHUNK_CELLS, NEAREST_BLOCK, TAIL_CELLS, _row_chunks, min_dist, nearest, pairwise,
                               pairwise_sq, reduce_rows, restrict_nearest)
@@ -213,15 +214,21 @@ def restrict_oracle(x, rows, k):
     return np.searchsorted(rows, argsort_oracle(sq[rows], k))
 
 
-class CountingDistance:
-    """``pairwise_sq`` that records the shape of each call."""
+@pytest.fixture
+def module_calls(monkeypatch):
+    """The shape of each call of ``distances.pairwise_sq`` by its module's name, as ``restrict_nearest`` makes.
 
-    def __init__(self):
-        self.shapes = []
+    This test module's own ``pairwise_sq`` stays the unpatched function, so the
+    tables and oracles built here add no entry.
+    """
+    shapes = []
 
-    def __call__(self, a, b, norms=None):
-        self.shapes.append((len(a), len(b)))
+    def counting(a, b, norms=None):
+        shapes.append((len(a), len(b)))
         return pairwise_sq(a, b, norms)
+
+    monkeypatch.setattr(distances, "pairwise_sq", counting)
+    return shapes
 
 
 def dataset_table(x, big_k):
@@ -239,10 +246,10 @@ class TestRestrictNearest:
         rng = np.random.default_rng(int(100 * share) + k)
         for _ in range(3):
             rows = np.flatnonzero(rng.random(len(x)) < share)
-            assert np.array_equal(restrict_nearest(pairwise_sq, x, table, rows, k), restrict_oracle(x, rows, k))
+            assert np.array_equal(restrict_nearest(x, table, rows, k), restrict_oracle(x, rows, k))
 
     @pytest.mark.parametrize("k", [1, 3, 5, 8])
-    def test_rows_left_short_recompute_their_block(self, oracle_ds, k):
+    def test_rows_left_short_recompute_their_block(self, oracle_ds, module_calls, k):
         # drop every 8th row's nearest neighbour from the subset: with K = k those
         # rows keep fewer than k of their K and fall back to their own block
         x = oracle_ds.features
@@ -254,29 +261,27 @@ class TestRestrictNearest:
         position[rows] = np.arange(len(rows))
         short = np.count_nonzero(position[table[rows]] >= 0, axis=1) < k
         assert short.any() and not short.all()
-        distance = CountingDistance()
-        got = restrict_nearest(distance, x, table, rows, k)
+        got = restrict_nearest(x, table, rows, k)
         assert np.array_equal(got, restrict_oracle(x, rows, k))
         blocks = np.unique(rows[short] // NEAREST_BLOCK)
-        assert distance.shapes == [(min(NEAREST_BLOCK, len(x) - b * NEAREST_BLOCK), len(x)) for b in blocks]
+        assert module_calls == [(min(NEAREST_BLOCK, len(x) - b * NEAREST_BLOCK), len(x)) for b in blocks]
 
     @pytest.mark.parametrize("k", [1, 3, 5, 8])
-    def test_table_of_every_other_row(self, oracle_ds, k):
+    def test_table_of_every_other_row(self, oracle_ds, module_calls, k):
         # K >= n - 1: the table holds every other row (and, past n - 1, the self cell last),
         # so no row falls back
         x = oracle_ds.features
         rows = np.flatnonzero(np.random.default_rng(k).random(len(x)) < 0.8)
         for big_k in (len(x) - 1, len(x) + 3):
-            distance = CountingDistance()
-            got = restrict_nearest(distance, x, dataset_table(x, big_k), rows, k)
+            got = restrict_nearest(x, dataset_table(x, big_k), rows, k)
             assert np.array_equal(got, restrict_oracle(x, rows, k))
-            assert distance.shapes == []
+            assert module_calls == []
 
     def test_whole_dataset_equals_the_table(self, oracle_ds):
         x = oracle_ds.features
         table = dataset_table(x, 15)
         rows = np.arange(len(x))
-        assert np.array_equal(restrict_nearest(pairwise_sq, x, table, rows, 5), table[:, :5])
+        assert np.array_equal(restrict_nearest(x, table, rows, 5), table[:, :5])
 
 
 def identity_oracle(a, b):

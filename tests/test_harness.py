@@ -491,9 +491,9 @@ class TestDatasetNeighbourPass:
         short = []
         restrict = harness.distances.restrict_nearest
 
-        def recording(distance, x, table, rows, k):
+        def recording(x, table, rows, k):
             short.append(int(np.count_nonzero(np.isin(table[rows], rows).sum(axis=1) < k)))
-            return restrict(distance, x, table, rows, k)
+            return restrict(x, table, rows, k)
 
         monkeypatch.setattr(harness.distances, "restrict_nearest", recording)
         rep = run_cv(RunConfig(folds=3, or_knn_k=1, **self.CFG), dataset=ds)
@@ -527,18 +527,18 @@ class TestDatasetNeighbourPass:
 
         monkeypatch.setattr(harness.distances, "pairwise_sq", pairwise_sq)
 
-    def test_pass_error_aborts_the_folds_that_reach_or_before(self, tmp_path, monkeypatch, balance_ds):
+    def test_pass_error_builds_no_table(self, tmp_path, monkeypatch, balance_ds, passes):
+        # each fold computes its own or_before, as when the cost rule takes no pass
         self.failing_pass(monkeypatch, balance_ds.n_samples)
-        rep = run_cv(RunConfig(folds=3, **self.CFG), dataset=balance_ds)
-        assert [(fr.status, fr.reason) for fr in rep.folds] == \
-            [("aborted", "overlap_ratio: ValueError: the dataset pass failed")] * 3
-        emit_report(rep, tmp_path / "report.json")
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["partial"] is True and len(doc["folds"]) == 3
-        # or_knn_k above the training folds' size: no fold reaches the table, so none aborts
-        rep = run_cv(RunConfig(folds=3, or_knn_k=500, **self.CFG), dataset=balance_ds)
-        assert not rep.partial
-        assert all(fr.or_before is None for fr in rep.folds)
+        cfg = RunConfig(folds=3, **self.CFG)
+        rep = run_cv(cfg, dataset=balance_ds)
+        assert len(passes) == 1
+        self.assert_or_before_of_the_training_fold_alone(rep, balance_ds)
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_fold_cells", lambda plan, knn_k: 0)
+            unshared = report_bytes(run_cv(cfg, dataset=balance_ds), tmp_path / "unshared.json")
+        assert len(passes) == 1
+        assert report_bytes(rep, tmp_path / "report.json") == unshared
 
     def test_no_pass_when_no_training_fold_exceeds_or_knn_k(self, tmp_path, monkeypatch, data_dir, passes):
         # vehicle's 5 training folds have 676, 676, 677, 677 and 678 of its 846 rows: 3.2 n² cells
@@ -562,12 +562,19 @@ class TestDatasetNeighbourPass:
         assert len(passes) == 1
         assert sum(fr.or_before is not None for fr in rep.folds) == 3
 
-    def test_pass_error_aborts_every_variant_of_a_sweep(self, monkeypatch, balance_ds, passes):
+    def test_pass_error_builds_no_table_in_a_sweep(self, tmp_path, monkeypatch, balance_ds, passes):
         self.failing_pass(monkeypatch, balance_ds.n_samples)
-        reports = ablate_components(RunConfig(folds=3, **self.CFG), dataset=balance_ds)
-        assert len(passes) == 1  # the error is stored like a table
+        cfg = RunConfig(folds=3, **self.CFG)
+        reports = ablate_components(cfg, dataset=balance_ds)
+        assert len(passes) == 1  # None is stored like a table
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_fold_cells", lambda plan, knn_k: 0)
+            unshared = ablate_components(cfg, dataset=balance_ds)
+        assert len(passes) == 1
         for key, rep in reports.items():
-            assert [fr.reason for fr in rep.folds] == ["overlap_ratio: ValueError: the dataset pass failed"] * 3, key
+            assert not rep.partial, key
+            assert (report_bytes(rep, tmp_path / "sweep.json")
+                    == report_bytes(unshared[key], tmp_path / "unshared.json")), key
 
 
 class TestTestFoldInvariance:
@@ -580,11 +587,6 @@ class TestTestFoldInvariance:
     must not change, in ``run_cv`` and in every variant of a sweep.  Test
     rows' member predictions run before the search, so this also checks that
     they never reach it.
-
-    One known exception: the dataset neighbour pass of an unscaled run reads
-    every row, test rows included, so a test row whose squared norm
-    overflows makes it raise, and folds that would abort when scored abort
-    at ``or_before`` instead.  The redraws here stay finite and in range.
     """
 
     CFG = dict(folds=5, repeats=1, jaya_pop=4, jaya_iters=3)
@@ -615,18 +617,18 @@ class TestTestFoldInvariance:
         return runs
 
     def fold_outputs(self, runs, ds, config):
-        """[run_cv's, then each sweep variant's] per-fold (mask, history, or_before, or_after, pool rows)."""
+        """[run_cv's, then each sweep variant's] {fold: (mask, history, or_before, or_after, pool rows)}
+        of the folds that complete; only those reach the search and ``train_pool``."""
         runs.clear()
         harness.run_cv(config, dataset=ds)
         ablate_components(config, dataset=ds)
         out = []
         for run in runs:
-            folds = run["report"].folds
-            assert [fr.status for fr in folds] == ["ok"] * len(folds)
-            histories = run["histories"] or [None] * len(folds)  # no_pruning searches nothing
-            assert len(histories) == len(run["pools"]) == len(folds)
-            out.append([(fr.mask, history, fr.or_before, fr.or_after, pool)
-                        for fr, history, pool in zip(folds, histories, run["pools"])])
+            ok = [fr for fr in run["report"].folds if fr.status == "ok"]
+            histories = run["histories"] or [None] * len(ok)  # no_pruning searches nothing
+            assert len(histories) == len(run["pools"]) == len(ok)
+            out.append({fr.fold: (fr.mask, history, fr.or_before, fr.or_after, pool)
+                        for fr, history, pool in zip(ok, histories, run["pools"])})
         return out
 
     @pytest.mark.parametrize("scale", [False, True])
@@ -648,7 +650,28 @@ class TestTestFoldInvariance:
             labels[test] = rng.permutation(labels[test])
             got = self.fold_outputs(runs, Dataset(features, labels, ds.class_names), config)
             for variant, (w, g) in enumerate(zip(want, got)):
+                assert len(w) == len(g) == config.folds, (fold, variant)  # every fold completes
                 assert g[fold] == w[fold], (fold, variant)
+
+    def test_an_overflowing_test_row_changes_no_training_output(self, monkeypatch):
+        # one row's squared norm, 1.44e308, overflows where the distance identity adds two
+        # of them: the folds that train on it abort, and the one that tests it runs as
+        # though the row were ordinary, also where the run would read the dataset's table
+        rng = np.random.default_rng(0)
+        ordinary = Dataset(rng.normal(size=(120, 3)), np.repeat([0, 1, 2], [70, 35, 15]), ("a", "b", "c"))
+        config = RunConfig(**self.CFG)
+        plan = stratified_folds(ordinary, config.folds, config.repeats, config.seed)
+        monkeypatch.setattr(harness, "stratified_folds", lambda *args: plan)
+        fold = 1
+        features = ordinary.features.copy()
+        features[plan.test_indices(0, fold)[0], 0] = 1.2e154
+        runs = self.recorder(monkeypatch)
+        want = self.fold_outputs(runs, ordinary, config)
+        got = self.fold_outputs(runs, Dataset(features, ordinary.labels, ordinary.class_names), config)
+        assert len(got) == 4
+        for variant, (w, g) in enumerate(zip(want, got)):
+            assert len(w) == config.folds and list(g) == [fold], variant
+            assert g[fold] == w[fold], variant
 
 
 class TestEmitReport:
