@@ -20,7 +20,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
-from . import harness, overlap, region
+from . import harness, region
 from .config import RunConfig, load_config_file, merge_config
 from .data_model import Dataset, load_csv, minmax_scale, rng_for
 
@@ -32,7 +32,7 @@ _FLAG_NAMES = {"data_path": "--data", "label_column": "--label-col",
 _FLAG_HELP = {"data_path": "dataset CSV path",
               "label_column": "label column name or zero-based index",
               "scale": "min-max scale features (fit on training data only)"}
-_FLAG_CHOICES = {"threshold_mode": region.THRESHOLD_MODES, "sor_keep": overlap.KEEP_MODES}
+_FLAG_CHOICES = {"threshold_mode": region.THRESHOLD_MODES}
 _FLAG_FIELDS = tuple(f for f in fields(RunConfig) if f.name != "pool")
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .learners import POOL_KINDS, make_classifier
-from .overlap import KEEP_MODES
 from .region import THRESHOLD_MODES
 
 
@@ -22,8 +21,6 @@ _RANGES = {
     "repeats": (lambda v: v >= 1, ">= 1"),
     "threshold_mode": (lambda v: v in THRESHOLD_MODES, f"one of {THRESHOLD_MODES}"),
     "z_threshold": (lambda v: abs(v) < float("inf"), "finite"),  # math.isfinite raises on an int past float's range
-    "sor_fallback_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "sor_keep": (lambda v: v in KEEP_MODES, f"one of {KEEP_MODES}"),
     "omrp_k": (lambda v: v >= 1, ">= 1"),
     "jaya_pop": (lambda v: v >= 2, ">= 2"),
     "jaya_iters": (lambda v: v >= 1, ">= 1"),
@@ -54,11 +51,8 @@ class RunConfig:
     repeats: int = 10
     scale: bool = False
     threshold_mode: str = "midpoint"      # or "mean": own-class average alone
-    z_threshold: float = 2.0
-    sor_fallback_fraction: float = 0.30
-    sor_keep: str = "after"               # or "before": keep the pre-jump side
-    omrp_k: int = 5
-    omrp_max_attempts_factor: int = 50
+    z_threshold: float = 2.0              # the cleaning's big-jump Z-score cut
+    omrp_k: int = 5                       # the oversampler's nearest neighbours
     jaya_pop: int = 20
     jaya_iters: int = 50
     use_balancing: bool = True

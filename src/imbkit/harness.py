@@ -129,9 +129,7 @@ def clean(ds: Dataset, assignment: region.RegionAssignment, config: RunConfig,
     fold's ``sor_all`` runs once for all its variants (see ``_sweep``).
     """
     nonoverlap = _shared(_memo, "sor_all",
-                         lambda: overlap.sor_all(ds, assignment, z_threshold=config.z_threshold,
-                                                 fallback_fraction=config.sor_fallback_fraction,
-                                                 keep_mode=config.sor_keep))
+                         lambda: overlap.sor_all(ds, assignment, z_threshold=config.z_threshold))
     keep = assignment.tags != region.OVERLAPPING
     keep[region.noise_subset(assignment, config.noise_remove_fraction)] = False
     keep[nonoverlap] = True
@@ -141,9 +139,7 @@ def clean(ds: Dataset, assignment: region.RegionAssignment, config: RunConfig,
 def balance(ds: Dataset, keep: np.ndarray, config: RunConfig,
             rng_factory) -> resample.BalanceResult:
     """Top every class's kept rows up to the largest class's; ``rng_factory(c)`` seeds class ``c``."""
-    return resample.build_balanced(ds, keep, knn_k=config.omrp_k,
-                                   max_attempts_factor=config.omrp_max_attempts_factor,
-                                   rng_factory=rng_factory)
+    return resample.build_balanced(ds, keep, knn_k=config.omrp_k, rng_factory=rng_factory)
 
 
 def overlap_ratio(ds: Dataset, knn_k: int, neighbors=None) -> float | None:

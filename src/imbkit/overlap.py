@@ -18,7 +18,7 @@ from .data_model import Dataset
 from .distances import pairwise, reduce_rows
 from .region import CORE, OVERLAPPING, RegionAssignment
 
-KEEP_MODES = ("after", "before")
+FALLBACK_FRACTION = 0.30  # share of a jumpless overlap region kept, farthest first
 
 
 @dataclass(frozen=True)
@@ -68,35 +68,24 @@ def gap_profile(ds: Dataset, assignment: RegionAssignment, class_id: int,
     return GapProfile(ordered_samples=ordered, distances=dists, jump_index=jump)
 
 
-def select_non_overlapping(profile: GapProfile, fallback_fraction: float = 0.30,
-                           keep_mode: str = "after") -> np.ndarray:
+def select_non_overlapping(profile: GapProfile) -> np.ndarray:
     """Dataset indices of the samples kept as non-overlapping.
 
-    With a jump, keep_mode="after" keeps the tail beyond the jump (farther from
-    the other classes); "before" keeps everything up to and including the
-    jump's left side.  Without a jump the farthest
-    max(1, floor(fallback_fraction * n)) samples are kept, so at least one
-    sample always survives.
+    With a jump, the tail beyond the jump (farther from the other classes) is
+    kept.  Without one the farthest max(1, floor(FALLBACK_FRACTION * n))
+    samples are kept, so at least one sample always survives.
     """
-    if not 0.0 < fallback_fraction <= 1.0:
-        raise ValueError(f"fallback_fraction must be in (0, 1], got {fallback_fraction}")
-    if keep_mode not in KEEP_MODES:
-        raise ValueError(f"keep_mode must be one of {KEEP_MODES}, got {keep_mode!r}")
     if profile.jump_index is not None:
-        j = profile.jump_index
-        kept = profile.ordered_samples[j + 1:] if keep_mode == "after" else profile.ordered_samples[:j + 1]
-        return kept.copy()
-    q = max(1, int(np.floor(fallback_fraction * profile.ordered_samples.size)))
+        return profile.ordered_samples[profile.jump_index + 1:].copy()
+    q = max(1, int(np.floor(FALLBACK_FRACTION * profile.ordered_samples.size)))
     return profile.ordered_samples[-q:].copy()
 
 
-def sor_all(ds: Dataset, assignment: RegionAssignment, z_threshold: float = 2.0,
-            fallback_fraction: float = 0.30, keep_mode: str = "after") -> np.ndarray:
+def sor_all(ds: Dataset, assignment: RegionAssignment, z_threshold: float = 2.0) -> np.ndarray:
     """Sorted indices of the overlap samples kept as non-overlapping, over all classes.
 
     A class with an empty overlap region contributes nothing.
     """
-    kept = [select_non_overlapping(gap_profile(ds, assignment, c, z_threshold=z_threshold),
-                                   fallback_fraction=fallback_fraction, keep_mode=keep_mode)
+    kept = [select_non_overlapping(gap_profile(ds, assignment, c, z_threshold=z_threshold))
             for c in range(ds.n_classes) if assignment.indices(OVERLAPPING, c).size]
     return np.sort(np.concatenate(kept)) if kept else np.empty(0, dtype=np.int64)

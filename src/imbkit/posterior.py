@@ -85,10 +85,13 @@ def log_joint(model: NBModel, features: np.ndarray) -> np.ndarray:
     # (m, n, z) broadcast kept implicit: loop classes to bound memory
     out = np.empty((features.shape[0], model.n_classes))
     log_priors = np.log(model.priors)
-    for c in range(model.n_classes):
-        var = model.variances[c]
-        diff = features - model.means[c]
-        out[:, c] = log_priors[c] - 0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=1)
+    # A row too far from a class for diff**2 / var to fit a float has density
+    # 0 there: the overflow's inf gives the log-density -inf it should.
+    with np.errstate(over="ignore"):
+        for c in range(model.n_classes):
+            var = model.variances[c]
+            diff = features - model.means[c]
+            out[:, c] = log_priors[c] - 0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=1)
     return out
 
 

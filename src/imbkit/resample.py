@@ -17,6 +17,7 @@ import numpy as np
 from .data_model import Dataset, PipelineWarning
 from .distances import min_dist, nearest, pairwise_sq, reduce_rows
 
+MAX_ATTEMPTS_FACTOR = 50
 MIN_ATTEMPT_CAP = 500
 
 
@@ -47,14 +48,15 @@ def _neighbor_table(class_data: np.ndarray, knn_k: int) -> np.ndarray:
 
 
 def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5, *,
-         rng: np.random.Generator, class_id: int = -1, max_attempts_factor: int = 50) -> SyntheticBatch:
+         rng: np.random.Generator, class_id: int = -1) -> SyntheticBatch:
     """Generate ``needed`` penalty-checked synthetic samples for one class.
 
     Parents cycle round-robin through the class; each draws a uniform nearest
     neighbor and an interpolation factor in [0, 1).  Candidates failing the
-    penalty are retried up to max(needed * max_attempts_factor, 500) attempts;
-    a shortfall is then filled with the rejected candidates of largest
-    (other-distance minus own-distance) margin and reported via a warning.
+    penalty are retried up to max(needed * MAX_ATTEMPTS_FACTOR, MIN_ATTEMPT_CAP)
+    attempts, 50 per needed sample and at least 500; a shortfall is then
+    filled with the rejected candidates of largest (other-distance minus
+    own-distance) margin and reported via a warning.
     A single-sample class is replicated exactly, with a warning.
     """
     class_data = np.asarray(class_data, dtype=np.float64)
@@ -72,7 +74,7 @@ def omrp(class_data: np.ndarray, others: np.ndarray, needed: int, knn_k: int = 5
                               accepted_count=needed, shortfall=0)
 
     nb_table = _neighbor_table(class_data, knn_k)
-    cap = max(needed * max_attempts_factor, MIN_ATTEMPT_CAP)
+    cap = max(needed * MAX_ATTEMPTS_FACTOR, MIN_ATTEMPT_CAP)
     chunk = max(needed, 64)
     tried = []  # per chunk: (candidates, margins) up to its last attempt
     attempts = accepted = 0
@@ -115,8 +117,7 @@ class BalanceResult:
     batches: dict[int, SyntheticBatch]
 
 
-def build_balanced(ds: Dataset, keep: np.ndarray, *, knn_k: int = 5,
-                   max_attempts_factor: int = 50, rng_factory) -> BalanceResult:
+def build_balanced(ds: Dataset, keep: np.ndarray, *, knn_k: int = 5, rng_factory) -> BalanceResult:
     """Assemble the balanced dataset from the rows ``keep`` marks plus synthetic batches.
 
     Each class's kept rows are its base set.  ``rng_factory(class_id)``
@@ -135,8 +136,7 @@ def build_balanced(ds: Dataset, keep: np.ndarray, *, knn_k: int = 5,
         src.append(idx)
         other_idx = np.concatenate([base_sets[k] for k in range(n) if k != c])
         batch = omrp(ds.features[idx], ds.features[other_idx], int(k_remaining[c]),
-                     knn_k=knn_k, rng=rng_factory(c), class_id=c,
-                     max_attempts_factor=max_attempts_factor)
+                     knn_k=knn_k, rng=rng_factory(c), class_id=c)
         batches[c] = batch
         if batch.samples.size:
             feats.append(batch.samples)

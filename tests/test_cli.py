@@ -155,10 +155,7 @@ NON_DEFAULT = {
     "scale": (["--scale"], True),
     "threshold_mode": (["--threshold-mode", "mean"], "mean"),
     "z_threshold": (["--z-threshold", "1.5"], 1.5),
-    "sor_fallback_fraction": (["--sor-fallback-fraction", "0.2"], 0.2),
-    "sor_keep": (["--sor-keep", "before"], "before"),
     "omrp_k": (["--omrp-k", "3"], 3),
-    "omrp_max_attempts_factor": (["--omrp-max-attempts-factor", "9"], 9),
     "jaya_pop": (["--jaya-pop", "4"], 4),
     "jaya_iters": (["--jaya-iters", "6"], 6),
     "use_balancing": (["--no-balancing"], False),
@@ -190,8 +187,8 @@ class TestDerivedFlags:
 
 # An out-of-range value for each RunConfig field that has a range.
 OUT_OF_RANGE = {"folds": 1, "repeats": 0, "threshold_mode": "median", "z_threshold": float("nan"),
-                "sor_fallback_fraction": 0.0, "sor_keep": "middle", "omrp_k": 0, "jaya_pop": 1,
-                "jaya_iters": 0, "noise_remove_fraction": 1.5, "or_knn_k": 0}
+                "omrp_k": 0, "jaya_pop": 1, "jaya_iters": 0, "noise_remove_fraction": 1.5,
+                "or_knn_k": 0}
 
 
 class TestOutOfRangeConfig:
@@ -210,6 +207,33 @@ class TestOutOfRangeConfig:
             assert main(argv) == 2, argv
             assert name in capsys.readouterr().err, argv
             assert not out.exists()  # failed before any fold ran
+
+
+# Former knobs that are now constants, each with the value it was fixed at.
+REMOVED = {"sor_keep": "after", "sor_fallback_fraction": 0.3, "omrp_max_attempts_factor": 50}
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_config_key_exits_2_naming_it(self, name, dataset_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data_path": str(dataset_csv), "folds": 3, "repeats": 1,
+                                   "jaya_pop": 6, "jaya_iters": 4, name: REMOVED[name]}))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_flag_rejected_by_argparse(self, name, dataset_csv, tmp_path, capsys):
+        flag, out = "--" + name.replace("_", "-"), tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--data", str(dataset_csv), *FAST_FLAGS, flag, str(REMOVED[name]),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 # A wrong-typed value for fields of each type; no value is coerced to the field's type.

@@ -1,4 +1,3 @@
-import itertools
 import json
 import warnings
 from collections import Counter
@@ -33,7 +32,7 @@ def clean_reference(ds, assignment, config):
         nonoverlap = np.empty(0, dtype=np.int64)
         if assignment.indices(OVERLAPPING, c).size:
             profile = gap_profile(ds, assignment, c, z_threshold=config.z_threshold)
-            nonoverlap = select_non_overlapping(profile, config.sor_fallback_fraction, config.sor_keep)
+            nonoverlap = select_non_overlapping(profile)
         noisy_kept = np.setdiff1d(assignment.indices(NOISY, c), removed, assume_unique=True)
         base_sets[c] = np.sort(np.concatenate([assignment.indices(CORE, c), nonoverlap,
                                                noisy_kept]).astype(np.int64))
@@ -46,13 +45,12 @@ class TestCleanMask:
         ds = load_csv(data_dir / f"{name}.csv", "class")
         for mode in ("midpoint", "mean"):
             assignment = partition_regions(ds, RunConfig(threshold_mode=mode))
-            for keep_mode, fraction in itertools.product(("after", "before"), (0.0, 0.5, 1.0)):
-                cfg = RunConfig(threshold_mode=mode, sor_keep=keep_mode,
-                                noise_remove_fraction=fraction)
+            for fraction in (0.0, 0.5, 1.0):
+                cfg = RunConfig(threshold_mode=mode, noise_remove_fraction=fraction)
                 keep = clean(ds, assignment, cfg)
                 assert keep.dtype == bool and keep.shape == (ds.n_samples,)
                 assert np.array_equal(np.flatnonzero(keep), clean_reference(ds, assignment, cfg)), \
-                    (mode, keep_mode, fraction)
+                    (mode, fraction)
 
 
 class TestRunCv:
@@ -688,13 +686,13 @@ class TestEmitReport:
             assert ms["std"] == pytest.approx(np.std(vals), abs=1e-6)
 
     def test_config_echoed_verbatim(self, tmp_path, separable_ds):
-        cfg = RunConfig(seed=9, z_threshold=2.5, sor_keep="before", **FAST)
+        cfg = RunConfig(seed=9, z_threshold=2.5, threshold_mode="mean", **FAST)
         path = tmp_path / "rep.json"
         emit_report(run_cv(cfg, dataset=separable_ds), path)
         doc = json.loads(path.read_text())
         assert doc["config"]["seed"] == 9
         assert doc["config"]["z_threshold"] == 2.5
-        assert doc["config"]["sor_keep"] == "before"
+        assert doc["config"]["threshold_mode"] == "mean"
         assert doc["config"]["folds"] == 3
 
     def test_empty_fold_list_marks_partial_and_omits_aggregate(self, tmp_path):
@@ -741,8 +739,8 @@ class TestConfig:
 
     def test_out_of_range_values_named_in_one_error(self):
         with pytest.raises(ValueError) as err:
-            RunConfig(folds=1, omrp_k=0, sor_keep="middle")
-        assert all(name in str(err.value) for name in ("folds", "omrp_k", "sor_keep"))
+            RunConfig(folds=1, omrp_k=0, threshold_mode="median")
+        assert all(name in str(err.value) for name in ("folds", "omrp_k", "threshold_mode"))
         assert "seed" not in str(err.value)
 
     def test_wrong_types_named_in_one_error(self):

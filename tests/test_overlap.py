@@ -6,7 +6,8 @@ import pytest
 from imbkit.config import RunConfig
 from imbkit.data_model import Dataset
 from imbkit.harness import partition_regions
-from imbkit.overlap import gap_profile, gap_statistics, select_non_overlapping, sor_all
+from imbkit.overlap import (FALLBACK_FRACTION, gap_profile, gap_statistics, select_non_overlapping,
+                            sor_all)
 from imbkit.region import CORE, NOISY, OVERLAPPING, RegionAssignment
 from tests.conftest import make_blobs
 
@@ -109,23 +110,19 @@ class TestSelectNonOverlapping:
     def test_keep_after_returns_post_jump_tail(self):
         ds, assign = worked_fixture()
         profile = gap_profile(ds, assign, 1)
-        kept = select_non_overlapping(profile, keep_mode="after")
+        kept = select_non_overlapping(profile)
         assert kept.tolist() == [10]  # the sample at distance 6.8
 
-    def test_keep_before_returns_pre_jump_head(self):
-        ds, assign = worked_fixture()
-        profile = gap_profile(ds, assign, 1)
-        kept = select_non_overlapping(profile, keep_mode="before")
-        assert kept.tolist() == list(range(1, 10))
-
     def test_fallback_fraction(self):
-        # 7 samples, no jump, fraction 0.3: keep last max(1, floor(2.1)) = 2
+        # 7 samples, no jump: keep the last max(1, floor(0.3 * 7)) = 2
+        assert FALLBACK_FRACTION == 0.30
         feats = np.array([[0.0]] + [[1.0 + i] for i in range(7)])
         ds = Dataset(feats, np.array([0] + [1] * 7), ("a", "b"))
         assign = make_assignment([CORE] + [OVERLAPPING] * 7, [0] + [1] * 7)
         profile = gap_profile(ds, assign, 1)
         assert profile.jump_index is None  # equal gaps
-        kept = select_non_overlapping(profile, fallback_fraction=0.3)
+        kept = select_non_overlapping(profile)
+        assert kept.size == math.floor(FALLBACK_FRACTION * 7)
         assert kept.tolist() == [6, 7]  # the two farthest of dataset indices 1..7
 
     def test_fallback_keeps_at_least_one(self):
@@ -133,7 +130,8 @@ class TestSelectNonOverlapping:
         ds = Dataset(feats, np.array([0, 1, 1]), ("a", "b"))
         assign = make_assignment([CORE, OVERLAPPING, OVERLAPPING], [0, 1, 1])
         profile = gap_profile(ds, assign, 1)
-        kept = select_non_overlapping(profile, fallback_fraction=0.1)
+        assert profile.jump_index is None and math.floor(FALLBACK_FRACTION * 2) == 0
+        kept = select_non_overlapping(profile)
         assert kept.tolist() == [2]
 
     def test_selected_distances_dominate_unselected_in_after_mode(self):
@@ -143,17 +141,11 @@ class TestSelectNonOverlapping:
         ds = Dataset(feats, labels, ("a", "b"))
         assign = make_assignment([CORE] * 3 + [OVERLAPPING] * 12, labels)
         profile = gap_profile(ds, assign, 1)
-        kept = set(select_non_overlapping(profile, keep_mode="after").tolist())
+        kept = set(select_non_overlapping(profile).tolist())
         dist_of = dict(zip(profile.ordered_samples.tolist(), profile.distances.tolist()))
         unkept = set(profile.ordered_samples.tolist()) - kept
         if kept and unkept:
             assert min(dist_of[i] for i in kept) >= max(dist_of[i] for i in unkept)
-
-    def test_bad_fraction_rejected(self):
-        ds, assign = worked_fixture()
-        profile = gap_profile(ds, assign, 1)
-        with pytest.raises(ValueError):
-            select_non_overlapping(profile, fallback_fraction=0.0)
 
 
 class TestSorAll:
@@ -172,7 +164,7 @@ class TestSorAll:
         tags = [CORE] * 3 + [OVERLAPPING] * 10 + [CORE] * 3 + [OVERLAPPING] * 10
         ds = Dataset(feats, labels, ("a", "b"))
         assign = make_assignment(tags, labels)
-        out = sor_all(ds, assign, keep_mode="after")
+        out = sor_all(ds, assign)
         assert out.tolist() == [12, 25]   # the samples at 30 (class 0) and -28 (class 1)
 
     def test_deterministic(self, overlapping_imbalanced_ds):

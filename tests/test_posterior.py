@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imbkit.posterior import NBModel, PosteriorMatrix, fit_nb, posteriors
+from imbkit.posterior import NBModel, PosteriorMatrix, fit_nb, log_joint, posteriors
 
 
 def direct_posterior_oracle(model: NBModel, features: np.ndarray) -> np.ndarray:
@@ -95,6 +96,14 @@ class TestPosteriors:
         assert post.values.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(post.values >= 0)
 
+
+    def test_far_row_has_zero_density_without_overflow_warning(self):
+        # (1.2e154 - mean)**2 fits a float but its quotient by a variance of 0.01 does not
+        model = fit_nb(np.array([[0.0], [0.2], [0.4], [0.6]]), np.array([0, 0, 1, 1]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lj = log_joint(model, np.array([[1.2e154]]))
+        assert lj.tolist() == [[-math.inf, -math.inf]]
 
 class TestOracleEquivalence:
     @settings(max_examples=40, deadline=None)
