@@ -1,19 +1,27 @@
-"""Euclidean distances by the inner-product identity, and exact k-nearest selection on them.
+"""Euclidean distances as one matrix product per row block, and exact k-nearest selection on them.
 
-The identity's cells carry its rounding (a tiny non-zero, possibly negative,
-for two equal rows), so they are not exact differences; ``nearest`` is exact
-on the cells it gets.  ``pairwise_sq`` returns them unclipped.  The clip at 0
-happens only where a value leaves this module: ``nearest`` clips its row bound
-and its candidates, ``min_dist`` each row's minimum and ``pairwise`` every cell
-before its square root.  Clipping is monotone, so each of them returns what it
-would on clipped cells, and the callers that only select neighbours skip a
-pass over every cell.  Each cell is the identity on its own
-``NEAREST_BLOCK``-row block of ``a``, so slicing ``a`` at a multiple of that
-block leaves every cell unchanged.  Every caller in the pipeline reduces its
-matrix row by row (k nearest, minimum or median) through ``reduce_rows``, which
-computes it in row chunks of at most ``CHUNK_CELLS`` cells, none holding an
-m x n matrix, with ``b``'s squared norms computed once per call.
-``restrict_nearest`` reads a subset's k nearest from a whole set's K nearest.
+Each squared distance is one cell of a product of augmented operands,
+``[a, 1, aa] @ [-2·bᵀ; bb; 1]`` with ``aa`` and ``bb`` the squared row norms:
+the sum ``-2 a·b + bb + aa`` with the norm terms last (a one-row block's
+matrix-vector product may sum in another order).  Its rounding error is of
+order ``(z + 2)·u·(aa + bb)`` for z features and unit roundoff u, in any
+order: to first order at most ``(3z + 4)·u·(aa + bb)``, the norms' own
+rounding included, since the z + 2 terms' magnitudes sum to at most
+``2·(aa + bb)``.  So the cells are not exact differences: two equal rows
+may sit a tiny non-zero, possibly negative, distance apart.  ``nearest`` is
+exact on the cells it gets.  ``pairwise_sq`` returns them unclipped.  The
+clip at 0 happens only where a value leaves this module: ``nearest`` clips
+its row bound and its candidates, ``min_dist`` each row's minimum and
+``pairwise`` every cell before its square root.  Clipping is monotone, so
+each of them returns what it would on clipped cells, and the callers that
+only select neighbours skip a pass over every cell.  Each cell is the product
+on its own ``NEAREST_BLOCK``-row block of ``a``, so slicing ``a`` at a
+multiple of that block leaves every cell unchanged.  Every caller in the
+pipeline reduces its matrix row by row (k nearest, minimum or median) through
+``reduce_rows``, which computes it in row chunks of at most ``CHUNK_CELLS``
+cells, none holding an m x n matrix, with ``b``'s operand built once per
+call.  ``restrict_nearest`` reads a subset's k nearest from a whole set's K
+nearest.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import numpy as np
 
 NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and per step of ``_row_chunks``
 CHUNK_CELLS = 2**18  # cells (2 MB) per distance call of ``reduce_rows``
-TAIL_CELLS = 2**15  # cells (256 KB) per pass of the identity's elementwise tail in ``pairwise_sq``
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -31,51 +38,52 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
         return (x * x).sum(axis=1)
 
 
-def pairwise_sq(a: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances via the inner-product identity, unclipped.
+def _right_operand(b: np.ndarray) -> np.ndarray:
+    """``[-2·bᵀ; bb; 1]``, the (z + 2, len(b)) right operand of ``pairwise_sq``'s product.
 
-    ``norms`` is ``b``'s squared row norms ``(b * b).sum(axis=1)``, computed
-    here when not given; ``reduce_rows`` computes them once per call and passes
-    them to every chunk.  Per ``NEAREST_BLOCK`` row block of ``a``, the product
-    ``a[block] @ b.T`` is its own general matrix product (GEMM), written
-    straight into the result, and ``aa + bb - 2.0 * product`` runs in place on
-    it while it is still in cache.  So ``a @ a.T`` never takes numpy's
-    symmetric (SYRK) path, except for a self-product of at most one block,
-    where the block's product is the whole ``a @ a.T``.  The tail runs on
-    pieces of the block of at most ``TAIL_CELLS`` cells (the whole block when
-    it fits) in three passes: ``*= 2.0``, ``aa + bb`` into one piece-sized
-    buffer kept for the call, and the subtraction in place.  A block-wide
-    ``aa + bb`` temporary, allocated and freed on every call of a chunked
-    caller, pushed malloc's heap past its trim threshold, and each call faulted
-    its pages in again.  A cell depends only on its own block, so
+    ``-2·b`` overflows only where ``bb`` does, and ``pairwise_sq`` raises for
+    that.  It is row-major: on a column-major operand, a one-row block's
+    product (a matrix-vector call) sums its terms in another order.
+    """
+    operand = np.empty((b.shape[1] + 2, b.shape[0]))
+    with np.errstate(over="ignore"):
+        np.multiply(b.T, -2.0, out=operand[:-2])
+    operand[-2] = _sq_norms(b)
+    operand[-1] = 1.0
+    return operand
+
+
+def pairwise_sq(a: np.ndarray, b: np.ndarray, operand: np.ndarray | None = None) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances, one matrix product per row block, unclipped.
+
+    ``operand`` is ``_right_operand(b)``, built here when not given;
+    ``reduce_rows`` builds it once per call and passes it to every chunk.  Per
+    ``NEAREST_BLOCK`` row block of ``a``, the block's rows of ``[a, 1, aa]``
+    times ``operand`` is one general matrix product (GEMM), written straight
+    into the result: each cell is the sum ``-2 a·b + bb + aa`` over the z + 2
+    terms, the norm terms last, with an error of order ``(z + 2)·u·(aa + bb)``
+    (u the unit roundoff).  Features that are small integers give exact
+    integer cells.  A cell depends only on its own block, so
     ``pairwise_sq(a[s:e], b)`` equals ``pairwise_sq(a, b)[s:e]`` bit for bit
     when ``s`` is a multiple of ``NEAREST_BLOCK`` and ``e`` is too or is ``len(a)``.
 
     Cells are not clipped at 0: two equal rows may sit a tiny negative apart.
-    Raises ``ValueError`` when the identity's largest term, ``max(aa) + max(bb)``,
-    is not finite: squared norms that overflow would turn cells into NaN.
+    Raises ``ValueError`` when the largest norm term, ``max(aa) + max(bb)``, is
+    not finite: squared norms that overflow would turn cells into NaN.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    if operand is None:
+        operand = _right_operand(np.atleast_2d(np.asarray(b, dtype=np.float64)))
     aa = _sq_norms(a)
-    bb = _sq_norms(b) if norms is None else norms
     with np.errstate(over="ignore"):
-        largest = aa.max(initial=0.0) + bb.max(initial=0.0)
+        largest = aa.max(initial=0.0) + operand[-2].max(initial=0.0)
     if not np.isfinite(largest):
         raise ValueError("squared row norms overflow float64 in the distance identity; rescale the features")
-    piece = max(1, TAIL_CELLS // max(b.shape[0], 1))  # rows per pass of the tail
-    # aa + bb, one piece at a time; allocated before the result, since in the other
-    # order the heap's layout added about 0.8 MB to a 3,200-row fold's peak RSS
-    tmp = np.empty((min(piece, NEAREST_BLOCK, a.shape[0]), b.shape[0]))
-    sq = np.empty((a.shape[0], b.shape[0]))
+    left = np.column_stack((a, np.ones(len(a)), aa))  # [a, 1, aa], row-major
+    sq = np.empty((a.shape[0], operand.shape[1]))
     for start in range(0, sq.shape[0], NEAREST_BLOCK):
         rows = slice(start, start + NEAREST_BLOCK)
-        block = np.matmul(a[rows], b.T, out=sq[rows])
-        for lo in range(0, block.shape[0], piece):
-            part = block[lo:lo + piece]
-            part *= 2.0
-            terms = np.add(aa[rows][lo:lo + piece, None], bb, out=tmp[:len(part)])
-            np.subtract(terms, part, out=part)
+        np.matmul(left[rows], operand, out=sq[rows])
     return sq
 
 
@@ -93,22 +101,21 @@ def reduce_rows(distance, a: np.ndarray, b: np.ndarray, reduce, *, exclude_self:
     """Row-wise ``reduce(distance(a, b))``, computed on ``_row_chunks`` of ``a``.
 
     Callers pass ``pairwise_sq`` or ``pairwise`` by their own module's name for
-    it, so a patched binding is the one called.  ``b``'s squared row norms are
-    computed once here and each chunk is ``distance(a[rows], b, norms)``: a
-    3,200-row call has 50 chunks, and recomputing the norms in each cost about
-    a fifth of the chunk's tail.  ``reduce`` maps a chunk to one result row per
-    chunk row and may overwrite the chunk; by the slicing property the joined
-    result equals the whole matrix's.  ``exclude_self`` (``b`` is ``a``) sets
+    it, so a patched binding is the one called.  ``b``'s ``_right_operand`` is
+    built once here and each chunk is ``distance(a[rows], b, operand)``: a
+    3,200-row call has 50 chunks.  ``reduce`` maps a chunk to one result row
+    per chunk row and may overwrite the chunk; by the slicing property the
+    joined result equals the whole matrix's.  ``exclude_self`` (``b`` is ``a``) sets
     each row's own cell to ``inf``.  Each chunk is freed before the next is
     allocated: with two alive, malloc trims the heap and faults it in again
     (about 870 page faults per 3,200-row overlap-ratio call).  With no rows in
     ``a``, ``reduce`` gets an empty (0, len(b)) matrix and no distance is computed.
     """
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    norms = _sq_norms(b)
+    operand = _right_operand(b)
     parts = []
     for rows in _row_chunks(len(a), len(b)):
-        chunk = distance(a[rows], b, norms)
+        chunk = distance(a[rows], b, operand)
         if exclude_self:
             np.fill_diagonal(chunk[:, rows], np.inf)
         parts.append(reduce(chunk))
@@ -138,19 +145,19 @@ def restrict_nearest(x: np.ndarray, table: np.ndarray, rows: np.ndarray, k: int)
     out = np.take_along_axis(found, first, axis=1)
     short = np.flatnonzero(np.count_nonzero(inside, axis=1) < k)
     if short.size:
-        norms, outside = _sq_norms(x), position < 0
+        operand, outside = _right_operand(x), position < 0
         for start in np.unique(rows[short] // NEAREST_BLOCK) * NEAREST_BLOCK:
             here = short[(rows[short] >= start) & (rows[short] < start + NEAREST_BLOCK)]
-            sq = pairwise_sq(x[start:start + NEAREST_BLOCK], x, norms)[rows[here] - start]
+            sq = pairwise_sq(x[start:start + NEAREST_BLOCK], x, operand)[rows[here] - start]
             sq[:, outside] = np.inf
             sq[np.arange(here.size), rows[here]] = np.inf
             out[here] = position[nearest(sq, k)]
     return out
 
 
-def pairwise(a: np.ndarray, b: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+def pairwise(a: np.ndarray, b: np.ndarray, operand: np.ndarray | None = None) -> np.ndarray:
     """(len(a), len(b)) Euclidean distances: ``pairwise_sq``'s cells clipped at 0, square-rooted in its own array."""
-    sq = pairwise_sq(a, b, norms)
+    sq = pairwise_sq(a, b, operand)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
 
@@ -167,7 +174,7 @@ def nearest(sq: np.ndarray, k: int) -> np.ndarray:
 
     Equal to ``np.argsort(np.maximum(sq, 0), axis=1, kind="stable")[:, :k]``
     with ``k`` clamped to the row length, so ties fall to the lower index, for
-    any NaN-free ``sq`` (``inf`` allowed): the identity's tiny negatives tie at
+    any NaN-free ``sq`` (``inf`` allowed): the product's tiny negatives tie at
     0 as the clipped cells did.  It selects over the whole of ``sq``, which in
     the pipeline is one ``reduce_rows`` chunk.  The columns form ``min(n, 4k)``
     contiguous groups (the last one takes the remainder), and a row's k-th

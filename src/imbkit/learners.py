@@ -68,8 +68,14 @@ class GiniTreeClassifier:
         self.max_depth = _positive_int("max_depth", max_depth)
 
     def _threshold(self, col, y):
-        """(threshold, weighted child impurity) of one feature's best midpoint; (None, inf) if none."""
-        order = np.argsort(col, kind="stable")
+        """(threshold, weighted child impurity) of one feature's best split; (None, inf) if none.
+
+        Only the class counts at boundaries between distinct values enter an
+        impurity, whatever the order of equal values, so the sort need not be
+        stable.  The threshold lies in the boundary's ``[lo, hi)``: the midpoint
+        can round onto ``hi`` for adjacent floats, or overflow.
+        """
+        order = np.argsort(col)
         sv, sy = col[order], y[order]
         change = np.flatnonzero(sv[:-1] != sv[1:])
         if change.size == 0:
@@ -80,7 +86,13 @@ class GiniTreeClassifier:
         nr = sv.size - nl
         child = (nl.ravel() * _gini(left, nl) + nr.ravel() * _gini(cum[-1] - left, nr)) / sv.size
         best = int(np.argmin(child))  # first minimum: deterministic tie-break
-        return float(0.5 * (sv[change[best]] + sv[change[best] + 1])), child[best]
+        lo, hi = float(sv[change[best]]), float(sv[change[best] + 1])  # Python floats overflow without a warning
+        thr = 0.5 * (lo + hi)
+        if not lo <= thr < hi:
+            thr = 0.5 * lo + 0.5 * hi
+            if not lo <= thr < hi:
+                thr = lo
+        return thr, child[best]
 
     def _split(self, x, y):
         """(feature, threshold) of the highest-gain split, the first feature on ties; None if none.

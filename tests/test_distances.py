@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from imbkit import distances
 from imbkit.data_model import load_csv, minmax_scale
-from imbkit.distances import (CHUNK_CELLS, NEAREST_BLOCK, TAIL_CELLS, _row_chunks, min_dist, nearest, pairwise,
+from imbkit.distances import (CHUNK_CELLS, NEAREST_BLOCK, _right_operand, _row_chunks, min_dist, nearest, pairwise,
                               pairwise_sq, reduce_rows, restrict_nearest)
 from imbkit.learners import KNNClassifier, count_votes
 from imbkit.metrics import overlap_ratios
@@ -285,19 +286,17 @@ class TestRestrictNearest:
 
 
 def identity_oracle(a, b):
-    """The unclipped identity ``pairwise_sq`` must match cell for cell: on each
-    ``NEAREST_BLOCK``-row block of ``a`` against the whole of ``b``.
+    """The unclipped cells ``pairwise_sq`` must match bit for bit: on each
+    ``NEAREST_BLOCK``-row block of ``a``, the product ``[a, 1, aa] @ [-2·bᵀ; bb; 1]``.
 
-    Each block's product is called on a slice of the caller's own ``a``, so a
-    self-product of at most one block takes the same symmetric path as in
-    ``pairwise_sq``.  A whole-matrix oracle would not do: GEMM cells depend on
-    the product's row count, and it differs on the scaled 65- and 197-row cases.
+    A whole-matrix product would not do: GEMM cells depend on the product's
+    row count, and it differs on the 65- and 197-row cases.  Nor would a
+    column-major ``right``: a one-row block's product (a matrix-vector call)
+    sums in another order on it.
     """
-    aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1)
-    return np.vstack([
-        aa[s:s + NEAREST_BLOCK, None] + bb[None, :] - 2.0 * (a[s:s + NEAREST_BLOCK] @ b.T)
-        for s in range(0, a.shape[0], NEAREST_BLOCK)])
+    left = np.hstack([a, np.ones((len(a), 1)), (a * a).sum(axis=1)[:, None]])
+    right = np.ascontiguousarray(np.vstack([-2.0 * b.T, (b * b).sum(axis=1), np.ones(len(b))]))
+    return np.vstack([left[s:s + NEAREST_BLOCK] @ right for s in range(0, a.shape[0], NEAREST_BLOCK)])
 
 
 ROW_COUNTS = (1, NEAREST_BLOCK - 1, NEAREST_BLOCK, NEAREST_BLOCK + 1, 3 * NEAREST_BLOCK + 5)
@@ -326,15 +325,33 @@ class TestPairwiseCells:
         assert np.array_equal(got, identity_oracle(query, train))
         assert np.array_equal(pairwise(query, train), np.sqrt(np.maximum(identity_oracle(query, train), 0.0)))
 
-    # a block's tail runs in pieces of TAIL_CELLS // width rows: 63 + 1 rows, and 10-row pieces with a 4-row last
-    @pytest.mark.parametrize("width", [TAIL_CELLS // NEAREST_BLOCK + 1, 3210])
+    # wide operands: a 3,210-column block is 1.6 MB, and 513 columns once split an elementwise tail into pieces
+    @pytest.mark.parametrize("width", [513, 3210])
     @pytest.mark.parametrize("rows", [NEAREST_BLOCK, 3 * NEAREST_BLOCK + 5])
     def test_tail_split_into_pieces_equals_the_identity(self, vehicle_features, rows, width):
-        assert TAIL_CELLS // width < NEAREST_BLOCK
         train = np.resize(vehicle_features, (width, vehicle_features.shape[1]))  # repeats the rows
         query = vehicle_features[-rows:]
         assert np.array_equal(pairwise_sq(query, train), identity_oracle(query, train))
 
+    def test_error_within_the_documented_bound(self, vehicle_features):
+        # |cell - exact| <= (3z + 4)·u·(aa + bb) to first order, z features, u = 2**-53; also 1e6 from the origin
+        rng = np.random.default_rng(5)
+        for a in (vehicle_features[rng.choice(len(vehicle_features), 24, replace=False)],
+                  1e6 + rng.random((24, 5))):
+            z = a.shape[1]
+            exact = np.array([[float(sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(r, c))) for c in a]
+                              for r in a])
+            norms = (a * a).sum(axis=1)
+            bound = (3 * z + 4) * 2.0 ** -53 * (norms[:, None] + norms[None, :]) * (1 + 1e-6)
+            assert np.all(np.abs(pairwise_sq(a, a) - exact) <= bound)
+
+    def test_small_integer_features_give_exact_cells(self, data_dir):
+        # balance's features are integers 1-5: every cell is the exact integer, so equal distances tie exactly
+        x = load_csv(data_dir / "balance.csv", "class").features
+        assert np.array_equal(x, np.round(x))
+        exact = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+        assert np.array_equal(pairwise_sq(x, x), exact)
+        assert np.array_equal(pairwise_sq(x[:70], x[300:]), exact[:70, 300:])
 
     def test_duplicate_rows_are_exactly_zero_apart(self, data_dir):
         # scaled vehicle rows stacked twice: some duplicate pairs have a negative identity cell
@@ -384,27 +401,53 @@ class TestOverflowingNorms:
         x = huge / 10.0
         assert np.isfinite(pairwise(x, x)).all()
 
+    def test_near_limit_rows_of_opposite_sign(self):
+        # -2 a·b is as large as aa + bb; rows at 1e153 stay finite, and just past the bound the error speaks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = np.full((3, 2), 1e153) * np.array([[1.0], [-1.0], [0.5]])
+            got = pairwise_sq(a, a)
+            assert not np.isnan(got).any()
+            exact = ((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=-1)
+            assert np.allclose(got, exact, rtol=1e-14, atol=0.0)
+        # max(aa) + max(bb) just finite: the cell of two opposite rows, 2·(aa + bb), overflows to inf, not NaN
+        edge = np.array([[1.0], [-1.0]]) * np.sqrt(np.finfo(float).max / 2.0) * (1 - 1e-15)
+        assert np.isfinite((edge * edge).sum(axis=1).max() * 2.0)
+        with np.errstate(over="ignore"):  # the product's own overflow warns, as the identity's subtraction did
+            cells = pairwise_sq(edge, edge)
+        assert not np.isnan(cells).any() and np.isinf(cells[0, 1]) and np.isinf(cells[1, 0])
+        past = edge * 1.000001
+        with np.errstate(over="ignore"):
+            assert not np.isfinite((past * past).sum(axis=1).max() * 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (pairwise_sq, min_dist):
+                with pytest.raises(ValueError, match="squared row norms overflow"):
+                    fn(past, past)
+
 
 class TestNormsOncePerCall:
+    """``reduce_rows`` builds ``b``'s right operand, norms included, once per call."""
+
     def test_one_norm_vector_for_every_chunk(self, multi_chunk_ds):
         x = multi_chunk_ds.features
         seen = []
 
-        def recording(a, b, norms):
-            seen.append(norms)
-            return pairwise_sq(a, b, norms)
+        def recording(a, b, operand):
+            seen.append(operand)
+            return pairwise_sq(a, b, operand)
 
         got = reduce_rows(recording, x, x, lambda sq: sq.min(axis=1))
         assert len(seen) == len(_row_chunks(len(x), len(x))) > 2
-        assert all(norms is seen[0] for norms in seen)
-        assert np.array_equal(seen[0], (x * x).sum(axis=1))
+        assert all(operand is seen[0] for operand in seen)
+        assert np.array_equal(seen[0], np.vstack([-2.0 * x.T, (x * x).sum(axis=1), np.ones(len(x))]))
         assert np.array_equal(got, pairwise_sq(x, x).min(axis=1))
 
     def test_given_norms_equal_computed_ones(self, vehicle_features):
         a, b = vehicle_features[:70], vehicle_features[100:400]
-        norms = (b * b).sum(axis=1)
-        assert np.array_equal(pairwise_sq(a, b, norms), pairwise_sq(a, b))
-        assert np.array_equal(pairwise(a, b, norms), pairwise(a, b))
+        operand = _right_operand(b)
+        assert np.array_equal(pairwise_sq(a, b, operand), pairwise_sq(a, b))
+        assert np.array_equal(pairwise(a, b, operand), pairwise(a, b))
 
 
 @st.composite
@@ -570,7 +613,7 @@ class TestOneDistanceMatrixPerCall:
         assert peak <= self.BOUND * own * (labels.size - own) * 8
 
     def test_block_wider_than_its_tail(self, mixture):
-        # one 64-row block against 3,210 rows: its tail runs in pieces, not on a whole-block temporary
+        # one 64-row block against 3,210 rows: the product writes into the result, with no block-sized temporary
         b = np.resize(mixture.features, (3210, mixture.features.shape[1]))
         a = mixture.features[:NEAREST_BLOCK]
         assert traced_peak(pairwise_sq, a, b) <= self.BOUND * a.shape[0] * b.shape[0] * 8

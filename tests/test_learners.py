@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imbkit.data_model import load_csv
 from imbkit.learners import (DEFAULT_POOL_SPEC, ExtraTreeClassifier, GaussianNBClassifier,
                              GiniTreeClassifier, KNNClassifier, count_votes, member_predictions,
                              train_pool, vote_from_predictions, vote_shares)
@@ -68,6 +69,39 @@ class TestGiniTree:
         deep = GiniTreeClassifier(max_depth=2).fit(x, y, 2)
         assert np.mean(deep.predict(x) == y) == 1.0
         assert np.mean(stump.predict(x) == y) < 1.0
+
+    def test_adjacent_floats_split_below_the_upper_value(self):
+        # the midpoint of two adjacent floats can round onto the upper one, which would send it left
+        a = 5.71588425504511
+        b = np.nextafter(a, np.inf)
+        assert 0.5 * (a + b) == b
+        x = np.array([[a], [a], [b], [b]])
+        y = np.array([0, 0, 1, 1])
+        stump = GiniTreeClassifier(max_depth=1).fit(x, y, 2)
+        assert a <= stump._root[1] < b
+        assert stump.predict(x).tolist() == [0, 0, 1, 1]
+
+    def test_split_near_the_float_limit_is_finite_and_silent(self):
+        # lo + hi overflows: the threshold is still a finite midpoint, with no overflow warning
+        x = np.array([[1.5e308], [1.5e308], [1.7e308], [1.7e308]])
+        y = np.array([0, 0, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stump = GiniTreeClassifier(max_depth=1).fit(x, y, 2)
+        assert 1.5e308 < stump._root[1] < 1.7e308
+        assert stump.predict(x).tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("name", ["balance", "contraceptive", "new-thyroid", "vehicle", "winequality-red"])
+    def test_unstable_sort_grows_the_same_trees(self, data_dir, monkeypatch, name):
+        # only the class counts at boundaries between distinct values enter an impurity
+        ds = load_csv(data_dir / f"{name}.csv", "class")
+        unstable = [GiniTreeClassifier(max_depth=d).fit(ds.features, ds.labels, ds.n_classes) for d in (1, 3)]
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: argsort(a, kind="stable"))
+        stable = [GiniTreeClassifier(max_depth=d).fit(ds.features, ds.labels, ds.n_classes) for d in (1, 3)]
+        for u, s in zip(unstable, stable):
+            assert [(f, thr.hex()) for f, thr in splits(u._root)] == [(f, thr.hex()) for f, thr in splits(s._root)]
+            assert u.predict(ds.features).tolist() == s.predict(ds.features).tolist()
 
 
 class TestExtraTree:
