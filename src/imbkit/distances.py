@@ -30,6 +30,7 @@ import numpy as np
 
 NEAREST_BLOCK = 64  # rows per block in ``pairwise_sq`` and per step of ``_row_chunks``
 CHUNK_CELLS = 2**18  # cells (2 MB) per distance call of ``reduce_rows``
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2  # u, in ``pairwise_sq``'s overflow margin
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -68,15 +69,21 @@ def pairwise_sq(a: np.ndarray, b: np.ndarray, operand: np.ndarray | None = None)
     when ``s`` is a multiple of ``NEAREST_BLOCK`` and ``e`` is too or is ``len(a)``.
 
     Cells are not clipped at 0: two equal rows may sit a tiny negative apart.
-    Raises ``ValueError`` when the largest norm term, ``max(aa) + max(bb)``, is
-    not finite: squared norms that overflow would turn cells into NaN.
+    Raises ``ValueError`` when ``(sqrt(max aa) + sqrt(max bb))**2`` is not
+    finite: the magnitudes of a cell's terms sum to at most ``(|a| + |b|)**2``,
+    so every partial sum stays below it, while squared norms that overflow
+    would turn cells into NaN and finite ones of opposite rows into ``inf``.
+    Near the float limit the bound is taken ``1 + (3z + 8)·u`` times larger,
+    which covers the rounding of the norms, of the bound itself and of the
+    product's sums: a call that does not raise gives finite cells.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if operand is None:
         operand = _right_operand(np.atleast_2d(np.asarray(b, dtype=np.float64)))
     aa = _sq_norms(a)
     with np.errstate(over="ignore"):
-        largest = aa.max(initial=0.0) + operand[-2].max(initial=0.0)
+        largest = ((np.sqrt(aa.max(initial=0.0)) + np.sqrt(operand[-2].max(initial=0.0))) ** 2
+                   * (1.0 + (3 * a.shape[1] + 8) * UNIT_ROUNDOFF))
     if not np.isfinite(largest):
         raise ValueError("squared row norms overflow float64 in the distance identity; rescale the features")
     left = np.column_stack((a, np.ones(len(a)), aa))  # [a, 1, aa], row-major

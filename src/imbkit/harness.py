@@ -162,7 +162,7 @@ def _dataset_neighbors(ds: Dataset, config: RunConfig) -> np.ndarray | None:
     only where its n² distance cells are fewer than the folds' own, the sum of
     rows² over training folds above ``or_knn_k`` rows (``_fold_cells``): never
     at 2 folds and 1 repeat (n²/2), always from 3 folds up (4/3 n² at 1
-    repeat; a 4000-row mixture took 110-125 ms through it, 161 ms without).
+    repeat).
     K grows with ``or_knn_k`` over the training share ``1 - 1/folds``: about
     2.5 times as many training rows as ``or_knn_k`` are expected among a
     row's K, so a row that keeps fewer than ``or_knn_k`` and recomputes its

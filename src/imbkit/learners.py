@@ -2,8 +2,9 @@
 
 All members implement fit(features, labels, n_classes) / predict(features)
 and break prediction ties toward the smallest label index, so ensemble runs
-are reproducible bit-for-bit.  Only weak learners live here on purpose; the
-pool accepts any object with the same surface if stronger models are wanted.
+are reproducible bit-for-bit.  Only weak learners live here on purpose: a
+pool holds only the ``POOL_KINDS`` that ``make_classifier`` builds, and
+``RunConfig`` rejects any other kind.
 """
 
 from __future__ import annotations

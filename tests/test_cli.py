@@ -9,7 +9,8 @@ import pytest
 from imbkit.cli import _build_config, build_parser, main
 from imbkit.config import RunConfig
 from imbkit.data_model import load_csv
-from imbkit.harness import DEFAULT_NOISE_FRACTIONS, clean, partition_regions
+from imbkit.harness import (DEFAULT_NOISE_FRACTIONS, ExperimentReport, FoldResult, clean, emit_report,
+                            partition_regions)
 from tests.conftest import make_blobs
 
 
@@ -27,6 +28,7 @@ def dataset_csv(tmp_path):
 
 
 FAST_FLAGS = ["--folds", "3", "--repeats", "1", "--jaya-pop", "6", "--jaya-iters", "4"]
+SMALL_RUN = ["--folds", "2", "--repeats", "1", "--jaya-pop", "4", "--jaya-iters", "3"]
 
 
 class TestPartitionCommand:
@@ -141,6 +143,59 @@ class TestRunCommand:
     def test_no_data_flag_is_hard_error(self, capsys):
         assert main(["run"]) == 2
         assert "--data" in capsys.readouterr().err
+
+    def test_duplicate_rows_scaled_give_no_nan(self, data_dir, tmp_path):
+        # every row twice: each has a twin the distance product may put a tiny negative apart
+        text = (data_dir / "new-thyroid.csv").read_text()
+        data = tmp_path / "duplicates.csv"
+        data.write_text(text + text.split("\n", 1)[1])
+        out = tmp_path / "report.json"
+        assert main(["run", "--data", str(data), "--scale", *SMALL_RUN, "--out", str(out)]) == 0
+        report = out.read_text()
+        assert "nan" not in report.lower()
+        # nor inside: a square root of a negative cell would warn, though no NaN reaches the metrics
+        assert not [w for w in json.loads(report)["warnings"] if "RuntimeWarning" in w]
+
+
+def write_overflowing_csv(path, case):
+    """CI's CSVs whose distances overflow float64 in some or all folds.
+
+    ``huge``: every row near 1e154, so every squared norm overflows.  ``edge``:
+    one row at 1.2e154, whose squared norm (1.44e308) overflows only where two
+    add.  ``opposite``: rows at 0.9e154 and -0.9e154, whose squared norms are
+    finite but whose distance (3.24e308) is not.
+    """
+    rng = np.random.default_rng(0)
+    if case == "huge":
+        x, labels = 1e154 + rng.random((60, 3)) * 1e150 * np.arange(1, 61)[:, None], np.arange(60) % 2
+    else:
+        x, labels = rng.normal(size=(120, 3)), np.repeat([0, 1, 2], [70, 35, 15])
+        if case == "edge":
+            x[0, 0] = 1.2e154
+        else:
+            x[0, 0], x[1, 0] = 0.9e154, -0.9e154
+    with open(path, "w") as f:
+        f.write("f1,f2,f3,class\n")
+        f.writelines(",".join(map(repr, row.tolist())) + f",{c}\n" for row, c in zip(x, labels))
+
+
+class TestPartialReport:
+    # huge aborts both folds; edge the 4 folds that train on its row, not the one that
+    # tests it; opposite every fold, since each trains on at least one of its two rows
+    @pytest.mark.parametrize("case,folds,aborted", [("huge", 2, 2), ("edge", 5, 4), ("opposite", 5, 5)])
+    def test_run_exits_1_naming_the_aborted_folds(self, case, folds, aborted, tmp_path, capsys):
+        data, out = tmp_path / f"{case}.csv", tmp_path / "report.json"
+        write_overflowing_csv(data, case)
+        rc = main(["run", "--data", str(data), "--folds", str(folds), "--repeats", "1",
+                   "--jaya-pop", "4", "--jaya-iters", "3", "--out", str(out)])
+        assert rc == 1
+        assert f"partial report: {aborted} aborted fold(s)" in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["partial"] and len(doc["folds"]) == folds
+        reasons = [fr["reason"] for fr in doc["folds"] if fr["status"] == "aborted"]
+        assert len(reasons) == aborted
+        assert all("ValueError: squared row norms overflow" in reason for reason in reasons)
+        assert not [w for w in doc["warnings"] if "RuntimeWarning" in w]  # the reasons alone speak
 
 
 STAGE_COMMANDS = ("partition", "clean", "balance", "run", "ablate-noise", "ablate-components")
@@ -369,3 +424,11 @@ class TestReportCommand:
         printed = capsys.readouterr().out
         assert "g_mean" in printed
         assert "overlap ratio" in printed
+
+    def test_partial_report_exits_1(self, tmp_path, capsys):
+        fold = FoldResult(repeat=0, fold=0, status="aborted", reason="clean: ValueError: x")
+        report = ExperimentReport(config=RunConfig(), folds=[fold], aggregate={}, overlap_ratios={},
+                                  warnings=[], partial=True)
+        emit_report(report, tmp_path / "report.json")
+        assert main(["report", str(tmp_path / "report.json")]) == 1
+        assert "partial=True" in capsys.readouterr().out

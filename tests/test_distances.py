@@ -382,7 +382,7 @@ class TestOverflowingNorms:
             with pytest.raises(ValueError, match="squared row norms overflow"):
                 fn(huge, huge)
         with pytest.raises(ValueError, match="squared row norms overflow"):
-            pairwise_sq(np.ones((2, 3)), huge)  # the largest term is max(aa) + max(bb)
+            pairwise_sq(np.ones((2, 3)), huge)  # the bound takes each side's largest norm
 
     def test_only_the_error_speaks(self, huge):
         # norms that overflow in the row sum, and finite norms whose largest pair overflows in the sum
@@ -410,20 +410,39 @@ class TestOverflowingNorms:
             assert not np.isnan(got).any()
             exact = ((a[:, None, :] - a[None, :, :]) ** 2).sum(axis=-1)
             assert np.allclose(got, exact, rtol=1e-14, atol=0.0)
-        # max(aa) + max(bb) just finite: the cell of two opposite rows, 2·(aa + bb), overflows to inf, not NaN
+        # max(aa) + max(bb) just finite, but the cell of two opposite rows, 2·(aa + bb), is not: the error speaks
         edge = np.array([[1.0], [-1.0]]) * np.sqrt(np.finfo(float).max / 2.0) * (1 - 1e-15)
         assert np.isfinite((edge * edge).sum(axis=1).max() * 2.0)
-        with np.errstate(over="ignore"):  # the product's own overflow warns, as the identity's subtraction did
-            cells = pairwise_sq(edge, edge)
-        assert not np.isnan(cells).any() and np.isinf(cells[0, 1]) and np.isinf(cells[1, 0])
         past = edge * 1.000001
         with np.errstate(over="ignore"):
             assert not np.isfinite((past * past).sum(axis=1).max() * 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fn in (pairwise_sq, min_dist):
-                with pytest.raises(ValueError, match="squared row norms overflow"):
-                    fn(past, past)
+            for rows in (edge, past):
+                for fn in (pairwise_sq, min_dist):
+                    with pytest.raises(ValueError, match="squared row norms overflow"):
+                        fn(rows, rows)
+
+    def test_rows_that_pass_the_check_give_finite_cells(self):
+        # row pairs scaled to the largest size the check lets through: their cells stay finite
+        # without a warning (without the margin, the product's rounding overflows 1-2 % of them)
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                z = int(rng.integers(1, 12))
+                a = rng.normal(size=(1, z)) * 10 ** rng.uniform(-3, 0, size=z)
+                b = -a * rng.uniform(0.5, 1.0) if rng.random() < 0.5 else rng.normal(size=(1, z))
+                lo = np.sqrt(np.finfo(float).max) / (np.linalg.norm(a) + np.linalg.norm(b))
+                lo, hi = 0.99 * lo, 1.01 * lo
+                for _ in range(60):  # bisect to the largest scale that does not raise
+                    mid = (lo + hi) / 2
+                    try:
+                        pairwise_sq(a * mid, b * mid)
+                        lo = mid
+                    except ValueError:
+                        hi = mid
+                assert np.isfinite(pairwise_sq(a * lo, b * lo)).all()
 
 
 class TestNormsOncePerCall:

@@ -373,25 +373,33 @@ class TestSweepSharing:
     SWEEPS = {"noise": lambda cfg, ds: ablate_noise(cfg, dataset=ds),
               "components": lambda cfg, ds: ablate_components(cfg, dataset=ds)}
 
-    @pytest.mark.parametrize("scale", [False, True])
-    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    # FAST's 3 folds x 2 repeats build the dataset's neighbour table where unscaled; 2 x 1 builds none
+    PLANS = [pytest.param(sweep, scale, FAST["folds"], FAST["repeats"], id=f"{sweep}-{scale}")
+             for sweep in sorted(SWEEPS) for scale in (False, True)]
+    PLANS += [pytest.param(sweep, False, 2, 1, id=f"{sweep}-False-2x1") for sweep in sorted(SWEEPS)]
+
+    @pytest.mark.parametrize("sweep,scale,folds,repeats", PLANS)
     def test_variants_equal_standalone_runs_and_share_stages(self, tmp_path, monkeypatch, fold_calls,
-                                                             overlapping_imbalanced_ds, sweep, scale):
+                                                             overlapping_imbalanced_ds, sweep, scale,
+                                                             folds, repeats):
         ds = overlapping_imbalanced_ds
         calls = {name: patch_stage(monkeypatch, module, name) for module, name in SHARED_STAGES}
+        passes = patch_stage(monkeypatch, harness, "_dataset_neighbors")
         keeps = []
         clean_fn = harness.clean
         monkeypatch.setattr(harness, "clean", lambda *a: keeps.append(clean_fn(*a)) or keeps[-1])
 
-        reports = self.SWEEPS[sweep](RunConfig(seed=2, scale=scale, **FAST), ds)
+        n_folds = folds * repeats
+        reports = self.SWEEPS[sweep](RunConfig(seed=2, scale=scale, **dict(FAST, folds=folds, repeats=repeats)), ds)
+        assert len(passes) == (0 if scale or folds == 2 else 1)
         assert len(reports) == (len(harness.DEFAULT_NOISE_FRACTIONS) if sweep == "noise" else 3)
-        assert len(keeps) == len(fold_calls) == N_FOLDS * len(reports)
+        assert len(keeps) == len(fold_calls) == n_folds * len(reports)
         masks = {(r, f, keep.tobytes()) for (_, r, f, _, _), keep in zip(fold_calls, keeps)}
         if sweep == "noise":  # the fractions must give different masks, or or_after shares trivially
-            assert len(masks) > N_FOLDS
-        assert len(calls["partition_regions"]) == N_FOLDS
-        assert len(calls["sor_all"]) == N_FOLDS
-        assert len(calls["overlap_ratios"]) == N_FOLDS + len(masks)  # or_before, then or_after
+            assert len(masks) > n_folds
+        assert len(calls["partition_regions"]) == n_folds
+        assert len(calls["sor_all"]) == n_folds
+        assert len(calls["overlap_ratios"]) == n_folds + len(masks)  # or_before, then or_after
 
         for key, rep in reports.items():
             assert not rep.partial
