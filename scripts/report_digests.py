@@ -4,8 +4,12 @@
     python3 scripts/report_digests.py           # regenerate REPORT_DIGESTS.json
     python3 scripts/report_digests.py --check   # list every report whose digest changed
 
-The reference reports are ``imbkit run`` at seed 0 and the default config:
+The reference reports are ``imbkit run`` at seed 0, with the default config
+unless stated:
 - each bundled CSV under ``data/``, raw and ``--scale``, 5-fold CV repeated twice;
+- new-thyroid with a 12-member pool from a config file, 2-fold CV once and a
+  4 x 3 Jaya search: its 4,095 masks far exceed the 16 genomes the search
+  meets, and its memo keys span two bytes;
 - the benchmark's 4000 x 10 Gaussian mixture (``perfbench/workloads.py``,
   seed 0), raw and ``--scale``, 5-fold CV once.
 
@@ -39,7 +43,12 @@ from imbkit import cli  # noqa: E402
 from workloads import gaussian_mixture, write_csv  # noqa: E402
 
 DIGESTS = ROOT / "REPORT_DIGESTS.json"
-MIXTURE = (4000, 10, (0.70, 0.22, 0.08))  # rows, features, class shares: CI's large-fold input
+MIXTURE = (4000, 10, (0.70, 0.22, 0.08))  # rows, features, class shares: the benchmark's large-fold input
+WIDE_POOL = [["knn", {"k": 1}], ["knn", {"k": 3}], ["knn", {"k": 5}], ["knn", {"k": 7}],
+             ["gaussian_nb", {}], ["tree", {"max_depth": 1}], ["tree", {"max_depth": 2}],
+             ["tree", {"max_depth": 3}], ["extra_tree", {"max_depth": 1}],
+             ["extra_tree", {"max_depth": 2}], ["extra_tree", {"max_depth": 3}],
+             ["extra_tree", {"max_depth": 4}]]
 
 
 def blas_build() -> str:
@@ -65,6 +74,9 @@ def cases(workdir: Path) -> list:
         for scale in ((), ("--scale",)):
             args = ("--data", f"data/{data.name}", *scale, "--repeats", "2")
             out.append((" ".join((data.stem, *scale, "5x2")), args))
+    (workdir / "pool.json").write_text(json.dumps({"pool": WIDE_POOL}), encoding="utf-8")
+    out.append(("new-thyroid wide-pool 2x1", ("--data", "data/new-thyroid.csv", "--config", "pool.json",
+                                              "--folds", "2", "--repeats", "1", "--jaya-pop", "4", "--jaya-iters", "3")))
     write_csv(workdir / "mixture.csv", *gaussian_mixture(np.random.default_rng(0), *MIXTURE))
     for scale in ((), ("--scale",)):
         out.append((" ".join(("mixture", *scale, "5x1")), ("--data", "mixture.csv", *scale, "--repeats", "1")))

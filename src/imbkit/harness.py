@@ -159,10 +159,11 @@ def _dataset_neighbors(ds: Dataset, config: RunConfig) -> np.ndarray | None:
 
     Each fold's ``or_before`` reads its training rows' ``or_knn_k`` nearest
     from this table (``distances.restrict_nearest``).  ``run_cv`` builds it
-    only where its n² distance cells are fewer than the folds' own, the sum of
-    rows² over training folds above ``or_knn_k`` rows (``_fold_cells``): never
-    at 2 folds and 1 repeat (n²/2), always from 3 folds up (4/3 n² at 1
-    repeat).
+    only where the folds' own distance cells, the sum of rows² over training
+    folds above ``or_knn_k`` rows (``_fold_cells``), exceed 2 n²: a table cell
+    costs about two fold cells, since each row keeps K nearest and each fold
+    then restricts them.  So none at 2x2 (n²) or 3x1 (4/3 n²), and one at 4x1
+    (9/4 n²) or 3x2 (8/3 n²) when every training fold exceeds ``or_knn_k`` rows.
     K grows with ``or_knn_k`` over the training share ``1 - 1/folds``: about
     2.5 times as many training rows as ``or_knn_k`` are expected among a
     row's K, so a row that keeps fewer than ``or_knn_k`` and recomputes its
@@ -327,9 +328,12 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
     given config and seed.
 
     An unscaled run reads each fold's ``or_before`` neighbours from one dataset
-    table where that costs fewer distance cells (``_dataset_neighbors``); scaled
+    table where that is the cheaper path (``_dataset_neighbors``); scaled
     folds, each scaled differently, compute their own, as do all folds where
-    the table's pass overflows and builds none.  Both give equal ratios.
+    the table's pass overflows and builds none.  Both give equal ratios
+    exactly on integer features, whose cells are exact; the reports of the
+    bundled CSVs at 5x2 and 3x1 and of the benchmark's mixture at 5x1 were
+    byte-identical either way with numpy 2.4.6's OpenBLAS 0.3.31.
 
     Each fold runs up to its Jaya search (``_run_fold``), then one batched
     ``pruning.prune`` call searches for every pruned fold, and each fold is
@@ -346,7 +350,7 @@ def run_cv(config: RunConfig, dataset: Dataset | None = None, *,
     with _capture() as run_warnings:
         plan = stratified_folds(dataset, config.folds, config.repeats, config.seed)
         table = None
-        if not config.scale and _fold_cells(plan, config.or_knn_k) > dataset.n_samples ** 2:
+        if not config.scale and _fold_cells(plan, config.or_knn_k) > 2 * dataset.n_samples ** 2:
             table = _shared(_memo, "neighbors", lambda: _dataset_neighbors(dataset, config))
         for r in range(plan.repeats):
             for f in range(plan.k):

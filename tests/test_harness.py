@@ -439,7 +439,7 @@ class TestSweepSharing:
 class TestDatasetNeighbourPass:
     """An unscaled run computes one K-nearest table over the whole dataset, and each fold's
     ``or_before`` reads it, where the training folds that reach ``or_before`` would compute
-    more distance cells on their own (the sum of their rows²) than its n².
+    more distance cells on their own (the sum of their rows²) than 2 n².
 
     balance's integer features make every distance cell exact, so a cell does
     not depend on which rows share its block, and ``or_before`` read from the
@@ -469,30 +469,31 @@ class TestDatasetNeighbourPass:
             assert fr.or_before == harness.overlap_ratio(train, rep.config.or_knn_k), (fr.repeat, fr.fold)
 
     # cells of the training folds against n²: 0.5 at 2x1, 1.000003 at 2x2 (balance's
-    # 625 rows split 312 + 313), 1.33 at 3x1 and 3.2 at 5x1
-    @pytest.mark.parametrize("folds,repeats,n_passes", [(2, 1, 0), (2, 2, 1), (3, 1, 1), (5, 1, 1)],
-                             ids=["2x1", "2x2", "3x1", "5x1"])
+    # 625 rows split 312 + 313), 1.33 at 3x1, 2.25 at 4x1, 2.67 at 3x2 and 3.2 at 5x1
+    PLANS = [(2, 1, 0), (2, 2, 0), (3, 1, 0), (4, 1, 1), (3, 2, 1), (5, 1, 1)]
+
+    @pytest.mark.parametrize("folds,repeats,n_passes", PLANS, ids=[f"{f}x{r}" for f, r, _ in PLANS])
     def test_or_before_equals_the_training_fold_alone(self, balance_ds, passes, folds, repeats, n_passes):
         rep = run_cv(RunConfig(folds=folds, **dict(self.CFG, repeats=repeats)), dataset=balance_ds)
         assert len(passes) == n_passes
         self.assert_or_before_of_the_training_fold_alone(rep, balance_ds)
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_pass_taken_from_3_folds_and_never_at_2x1(self, monkeypatch, data_dir, passes, name):
+    def test_pass_taken_from_4x1_never_at_3x1(self, monkeypatch, data_dir, passes, name):
         ds = load_csv(data_dir / f"{name}.csv", "class")
 
         def no_fold(*args):
             raise harness._Abort("split: ValueError: not run")
 
         monkeypatch.setattr(harness, "_run_fold", no_fold)
-        for folds, repeats, n_passes in ((2, 1, 0), (3, 1, 1), (5, 1, 1), (5, 10, 1)):
+        for folds, repeats, n_passes in self.PLANS + [(5, 10, 1)]:
             passes.clear()
             run_cv(RunConfig(folds=folds, repeats=repeats), dataset=ds)
             assert len(passes) == n_passes, (folds, repeats)
 
     def test_short_rows_recompute_their_block(self, data_dir, monkeypatch, passes):
-        # at 3 folds and or_knn_k=1 the table holds K=4 neighbours per row, and 6
-        # training rows of new-thyroid find none of theirs in their training fold
+        # at 3 folds and or_knn_k=1 the table holds K=4 neighbours per row, and over
+        # 2 repeats 10 training rows of new-thyroid find none of theirs in their training fold
         ds = load_csv(data_dir / "new-thyroid.csv", "class")
         short = []
         restrict = harness.distances.restrict_nearest
@@ -502,23 +503,23 @@ class TestDatasetNeighbourPass:
             return restrict(x, table, rows, k)
 
         monkeypatch.setattr(harness.distances, "restrict_nearest", recording)
-        rep = run_cv(RunConfig(folds=3, or_knn_k=1, **self.CFG), dataset=ds)
-        assert len(passes) == 1 and sum(short) == 6
+        rep = run_cv(RunConfig(folds=3, or_knn_k=1, **dict(self.CFG, repeats=2)), dataset=ds)
+        assert len(passes) == 1 and sum(short) == 10
         self.assert_or_before_of_the_training_fold_alone(rep, ds)
 
     def test_one_pass_per_run_and_per_sweep(self, balance_ds, passes, fold_calls):
-        cfg = RunConfig(folds=3, **self.CFG)
+        cfg = RunConfig(folds=4, **self.CFG)
         run_cv(cfg, dataset=balance_ds)
         assert len(passes) == 1
         ablate_noise(cfg, fractions=(0.0, 0.5, 1.0), dataset=balance_ds)
         assert len(passes) == 2
         ablate_components(cfg, dataset=balance_ds)
         assert len(passes) == 3
-        assert len(fold_calls) == 3 * (1 + 3 + 3)
+        assert len(fold_calls) == 4 * (1 + 3 + 3)
 
     def test_scaled_runs_compute_no_pass(self, balance_ds, passes):
-        run_cv(RunConfig(folds=3, scale=True, **self.CFG), dataset=balance_ds)
-        ablate_components(RunConfig(folds=3, scale=True, **self.CFG), dataset=balance_ds)
+        run_cv(RunConfig(folds=4, scale=True, **self.CFG), dataset=balance_ds)
+        ablate_components(RunConfig(folds=4, scale=True, **self.CFG), dataset=balance_ds)
         assert passes == []
 
     @staticmethod
@@ -536,7 +537,7 @@ class TestDatasetNeighbourPass:
     def test_pass_error_builds_no_table(self, tmp_path, monkeypatch, balance_ds, passes):
         # each fold computes its own or_before, as when the cost rule takes no pass
         self.failing_pass(monkeypatch, balance_ds.n_samples)
-        cfg = RunConfig(folds=3, **self.CFG)
+        cfg = RunConfig(folds=4, **self.CFG)
         rep = run_cv(cfg, dataset=balance_ds)
         assert len(passes) == 1
         self.assert_or_before_of_the_training_fold_alone(rep, balance_ds)
@@ -552,25 +553,27 @@ class TestDatasetNeighbourPass:
         ds = load_csv(data_dir / "vehicle.csv", "class")
         plan = stratified_folds(ds, 5, 1, 0)
         assert sorted(len(plan.train_indices(0, f)) for f in range(5)) == [676, 676, 677, 677, 678]
-        for k, reached in ((678, 0), (677, 1)):  # 678² < 846²: the one fold computes its own
+        for k, reached in ((678, 0), (677, 1)):  # 678² < 2 · 846²: the one fold computes its own
             cfg = RunConfig(folds=5, or_knn_k=k, **self.CFG)
             run = report_bytes(run_cv(cfg, dataset=ds), tmp_path / "run.json")
             assert passes == []
             assert run.count(b'"or_before": null') == 5 - reached
             # the same run with the pass forced gives the same bytes
             with monkeypatch.context() as mp:
-                mp.setattr(harness, "_fold_cells", lambda plan, knn_k: ds.n_samples ** 2 + 1)
+                mp.setattr(harness, "_fold_cells", lambda plan, knn_k: 2 * ds.n_samples ** 2 + 1)
                 assert report_bytes(run_cv(cfg, dataset=ds), tmp_path / "forced.json") == run
             assert len(passes) == 1
             passes.clear()
-        # three folds reach or_before at 676: their cells exceed n², so the pass runs
-        rep = run_cv(replace(cfg, or_knn_k=676), dataset=ds)
-        assert len(passes) == 1
-        assert sum(fr.or_before is not None for fr in rep.folds) == 3
+        # three folds reach or_before at 676: their cells, 1.92 n², stay under 2 n²;
+        # all five do at 675, and their 3.2 n² take the pass
+        for k, n_passes, reached in ((676, 0, 3), (675, 1, 5)):
+            rep = run_cv(replace(cfg, or_knn_k=k), dataset=ds)
+            assert len(passes) == n_passes
+            assert sum(fr.or_before is not None for fr in rep.folds) == reached
 
     def test_pass_error_builds_no_table_in_a_sweep(self, tmp_path, monkeypatch, balance_ds, passes):
         self.failing_pass(monkeypatch, balance_ds.n_samples)
-        cfg = RunConfig(folds=3, **self.CFG)
+        cfg = RunConfig(folds=4, **self.CFG)
         reports = ablate_components(cfg, dataset=balance_ds)
         assert len(passes) == 1  # None is stored like a table
         with monkeypatch.context() as mp:
